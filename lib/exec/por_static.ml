@@ -1,8 +1,9 @@
 (* Static per-program facts shared by every partial-order reduction in the
-   tree: the SC checker's candidate test and the abstract machines'
-   independence oracles all ask the same questions — "can any other thread
-   still touch this location?", "does this thread still have a
-   synchronization-class instruction ahead of it?" — and all of them are
+   tree: the SC checker's candidate test, the DRF sync-order search and
+   the abstract machines' independence oracles all ask the same
+   questions — "can any other thread still touch this location?", "does
+   this thread still have a synchronization-class instruction ahead of
+   it?", "can anything left still block?" — and all of them are
    answerable once per program, not once per state.
 
    The answers come in two shapes:
@@ -23,6 +24,9 @@ type t = {
   sync_after : bool array array;
       (** [sync_after.(p).(j)]: a synchronization-class instruction (sync
           load/store/await, RMW, lock) remains at index >= [j] *)
+  block_after : bool array array;
+      (** [block_after.(p).(j)]: a blocking instruction ([Await], data or
+          sync, or [Lock]) remains at index >= [j] *)
   loc_masks : (int * int) Exp.Smap.t array;
       (** per thread: location -> (access bitmask, write bitmask) over
           instruction indices *)
@@ -70,17 +74,19 @@ let of_prog prog =
         out)
       instrs
   in
-  let sync_after =
+  let remains pred =
     Array.map
       (fun ins ->
         let n = Array.length ins in
         let out = Array.make (n + 1) false in
         for j = n - 1 downto 0 do
-          out.(j) <- out.(j + 1) || is_sync_class ins.(j)
+          out.(j) <- out.(j + 1) || pred ins.(j)
         done;
         out)
       instrs
   in
+  let sync_after = remains is_sync_class in
+  let block_after = remains Instr.is_blocking in
   let loc_masks =
     Array.map
       (fun ins ->
@@ -145,7 +151,16 @@ let of_prog prog =
           out)
         instrs
   in
-  { instrs; suffix; sync_after; loc_masks; loc_ids; iloc; suffix_ids }
+  {
+    instrs;
+    suffix;
+    sync_after;
+    block_after;
+    loc_masks;
+    loc_ids;
+    iloc;
+    suffix_ids;
+  }
 
 (* The facts depend only on the program; cache them across calls.  An
    [Atomic] so parallel exploration domains can race on it safely — a
@@ -171,6 +186,9 @@ let write_remains info ~p ~j loc = suffix_bits info ~p ~j loc land 2 <> 0
 
 let sync_remains info ~p ~j =
   info.sync_after.(p).(min j (Array.length info.sync_after.(p) - 1))
+
+let blocking_remains info ~p ~j =
+  info.block_after.(p).(min j (Array.length info.block_after.(p) - 1))
 
 let loc_bitmasks info ~p loc =
   Option.value (Exp.Smap.find_opt loc info.loc_masks.(p)) ~default:(0, 0)

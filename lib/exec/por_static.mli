@@ -1,5 +1,6 @@
 (** Static per-program conflict facts shared by the partial-order
-    reductions: the SC checker's candidate test ({!Sc}) and the machine
+    reductions: the SC checker's candidate test ({!Sc}), the DRF
+    sync-order search ([Sync_orders] in [lib/drf]) and the machine
     independence oracles (in [lib/machine]) all key off the same questions
     — answered once per program here rather than once per state.
 
@@ -16,6 +17,9 @@ type t = {
   sync_after : bool array array;
       (** [sync_after.(p).(j)]: a synchronization-class instruction
           remains at index >= [j] in thread [p] *)
+  block_after : bool array array;
+      (** [block_after.(p).(j)]: a blocking instruction ([Await] or
+          [Lock]) remains at index >= [j] in thread [p] *)
   loc_masks : (int * int) Exp.Smap.t array;
       (** per thread: location -> (access bitmask, write bitmask) over
           instruction indices, for executed-set machines *)
@@ -50,6 +54,11 @@ val write_remains : t -> p:int -> j:int -> string -> bool
 val sync_remains : t -> p:int -> j:int -> bool
 (** Does thread [p] still have a synchronization-class instruction at
     index >= [j]? *)
+
+val blocking_remains : t -> p:int -> j:int -> bool
+(** Does thread [p] still have an [Await] or [Lock] at index >= [j]?
+    When no thread does, nothing left can block: every program-order
+    interleaving of the remaining instructions runs to completion. *)
 
 val loc_bitmasks : t -> p:int -> string -> int * int
 (** [(access, write)] bitmasks of thread [p]'s instruction indices

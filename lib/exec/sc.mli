@@ -13,6 +13,14 @@ val explore : ?reduce:bool -> Prog.t -> Final.Set.t * int
 (** [outcomes] plus the number of distinct states visited — the state-count
     telemetry the bench harness records. *)
 
+val por_candidate : Por_static.t -> Sem.state -> int option
+(** The reduction's choice at a state: the first thread whose next
+    instruction is a data load or store, or a fence, that conflicts with
+    nothing any other thread will still do.  Firing it alone preserves
+    every value any other instruction reads, so every complete run is
+    equivalent to one that fires it first.  Never picks a synchronization
+    operation, an RMW or an [Await]. *)
+
 type por_stats = {
   por_taken : int;
       (** branch states where the reduction fired one provably independent

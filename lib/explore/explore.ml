@@ -1004,8 +1004,10 @@ module Make (M : Machine_sig.MACHINE) = struct
     loop ();
     (!acc, !oracle_calls, !ample_hits, !suppressed, !sym_hits)
 
-  let run_par ~oracle ~perms ~store ~resumed ~domains ~fuel ~(rcfg : rcfg)
-      prog =
+  (* [handoff] says where [resumed] came from: [true] for the adaptive
+     probe's own snapshot, [false] for a real [--resume]. *)
+  let run_par ~oracle ~perms ~store ~resumed ~handoff ~domains ~fuel
+      ~(rcfg : rcfg) prog =
     (match resumed with
     | Some { s_visited = Bloom_filter _; _ } ->
         raise
@@ -1055,10 +1057,17 @@ module Make (M : Machine_sig.MACHINE) = struct
           resumed_sym_hits := s.s_sym_hits;
           sh.pending <- List.map fst s.s_frontier;
           rcfg.on_event
-            (Printf.sprintf
-               "resumed %s/%s: %d state(s) already expanded, frontier %d"
-               M.name (Prog.name prog) s.s_expanded
-               (List.length s.s_frontier));
+            (if handoff then
+               Printf.sprintf
+                 "handed off %s/%s to %d domain(s): %d state(s) already \
+                  expanded, frontier %d"
+                 M.name (Prog.name prog) domains s.s_expanded
+                 (List.length s.s_frontier)
+             else
+               Printf.sprintf
+                 "resumed %s/%s: %d state(s) already expanded, frontier %d"
+                 M.name (Prog.name prog) s.s_expanded
+                 (List.length s.s_frontier));
           s.s_acc
     in
     let others =
@@ -1284,7 +1293,9 @@ module Make (M : Machine_sig.MACHINE) = struct
               prog))
     else if not adaptive then begin
       reject_sleeps ();
-      finish (run_par ~oracle ~perms ~store ~resumed ~domains ~fuel ~rcfg prog)
+      finish
+        (run_par ~oracle ~perms ~store ~resumed ~handoff:false ~domains ~fuel
+           ~rcfg prog)
     end
     else begin
       (* Adaptive parallelism: never spawn more domains than the machine
@@ -1330,7 +1341,7 @@ module Make (M : Machine_sig.MACHINE) = struct
                   fanning out to %d domain(s)" snapv.s_expanded eff);
             finish
               (run_par ~oracle ~perms ~store ~resumed:(Some snapv)
-                 ~domains:eff ~fuel ~rcfg prog)
+                 ~handoff:true ~domains:eff ~fuel ~rcfg prog)
       end
     end
 

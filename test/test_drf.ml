@@ -66,6 +66,86 @@ let test_sync_orders_to_so () =
       check_int "exactly one pair" 1 (Rel.cardinal so)
   | other -> Alcotest.failf "expected 1 tuple, got %d" (List.length other)
 
+(* The reduced sync-order search against an independent oracle: the
+   per-location sync projections of every unreduced SC trace.  The trace
+   enumerator shares only the step function with [Sync_orders], none of
+   its memo or reduction. *)
+let projections_of_traces p =
+  let evts = Evts.of_prog p in
+  let locs = Prog.sync_locations p in
+  let seen = Hashtbl.create 64 in
+  Sc.iter_traces ~reduce:false p (fun trace _ ->
+      let sync = List.map (Evts.event evts) trace |> List.filter Event.is_sync in
+      let tuple =
+        List.map
+          (fun l ->
+            ( l,
+              List.filter_map
+                (fun e ->
+                  if e.Event.loc = Some l then Some e.Event.id else None)
+                sync ))
+          locs
+      in
+      Hashtbl.replace seen tuple ());
+  List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen))
+
+let check_against_traces p =
+  if Sync_orders.feasible p <> projections_of_traces p then
+    Alcotest.failf "%s: feasible sync orders differ from the trace oracle@.%a"
+      (Prog.name p) Prog.pp p
+
+let test_sync_orders_oracle_classics () =
+  List.iter (fun e -> check_against_traces (prog_of e)) Litmus_classics.all
+
+(* Deep_await exercises blocking pruning under the reduction; Mixed_sync
+   one location used both as data and as synchronization. *)
+let test_sync_orders_oracle_generated () =
+  List.iter
+    (fun profile ->
+      let config = { Litmus_gen.default_config with profile } in
+      for seed = 0 to 499 do
+        check_against_traces (Litmus_gen.generate ~config seed)
+      done)
+    Litmus_gen.all_profiles
+
+(* The scaling corpus, whose unreduced sync-order search took minutes on
+   big5; the witness list of big4 is pinned from the unreduced checker. *)
+let big4_witnesses =
+  [
+    "e0:P0.0:Ww and e11:P2.3:Rw are unordered under sync order ";
+    "e0:P0.0:Ww and e13:P3.1:Rw are unordered under sync order ";
+    "e1:P0.1:Rx and e4:P1.0:Wx are unordered under sync order ";
+    "e1:P0.1:Rx and e6:P1.2:Wx are unordered under sync order ";
+    "e2:P0.2:Ww and e11:P2.3:Rw are unordered under sync order ";
+    "e2:P0.2:Ww and e13:P3.1:Rw are unordered under sync order ";
+    "e3:P0.3:Ry and e8:P2.0:Wy are unordered under sync order ";
+    "e3:P0.3:Ry and e10:P2.2:Wy are unordered under sync order ";
+    "e4:P1.0:Wx and e15:P3.3:Rx are unordered under sync order ";
+    "e5:P1.1:Ry and e8:P2.0:Wy are unordered under sync order ";
+    "e5:P1.1:Ry and e10:P2.2:Wy are unordered under sync order ";
+    "e6:P1.2:Wx and e15:P3.3:Rx are unordered under sync order ";
+    "e7:P1.3:Rz and e12:P3.0:Wz are unordered under sync order ";
+    "e7:P1.3:Rz and e14:P3.2:Wz are unordered under sync order ";
+    "e9:P2.1:Rz and e12:P3.0:Wz are unordered under sync order ";
+    "e9:P2.1:Rz and e14:P3.2:Wz are unordered under sync order ";
+  ]
+
+let test_scaling_corpus () =
+  List.iter
+    (fun e ->
+      let p = prog_of e in
+      let name = Prog.name p in
+      check (name ^ " drf0") e.Litmus_classics.drf0 (Drf.obeys p);
+      match Drf.check p with
+      | Ok () -> check (name ^ " check agrees") true e.Litmus_classics.drf0
+      | Error races ->
+          check (name ^ " check agrees") false e.Litmus_classics.drf0;
+          if String.equal name "big4" then
+            Alcotest.(check (list string))
+              "big4 witnesses" big4_witnesses
+              (List.map (Fmt.str "%a" Drf.pp_race) races))
+    Litmus_classics.scaling
+
 (* --- Drf0 / Drf1 expectations --------------------------------------------- *)
 
 let test_corpus_drf0 () =
@@ -197,6 +277,11 @@ let suite =
       t "sync order counts" test_sync_orders_counts;
       t "blocking prunes sync orders" test_sync_orders_blocking_pruned;
       t "sync order to so" test_sync_orders_to_so;
+      t "sync orders match the trace oracle (classics)"
+        test_sync_orders_oracle_classics;
+      t "sync orders match the trace oracle (generated)"
+        test_sync_orders_oracle_generated;
+      t "scaling corpus DRF0 verdicts and witnesses" test_scaling_corpus;
       t "corpus DRF0 expectations" test_corpus_drf0;
       t "corpus DRF1 expectations" test_corpus_drf1;
       t "checker agrees with naive Definition 3" test_naive_agrees;
