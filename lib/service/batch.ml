@@ -1,29 +1,12 @@
-(* The batch supervisor: a pool of forked workers under one event loop.
+(* The batch front end: the supervisor kernel fed from a job file.
 
-   Process architecture: the supervisor forks one worker process per job
-   attempt (never more than [cfg.workers] in flight) and does no
-   verification itself.  A worker computes one verdict, writes it to a
-   CRC-framed result file (atomic install), and [Unix._exit]s — it never
-   touches the parent's channels, cache, or checkpoint.  All parent-side
-   state transitions happen in one thread, in the reap/dispatch loop, so
-   there is no locking anywhere.
-
-   The failure matrix the loop implements:
-
-     worker exit 0 + valid result file   -> verdict (cache + JSONL)
-     worker exit 0 + missing/corrupt file-> failed attempt (torn write)
-     worker exit 9                       -> cancelled (drain): job stays
-                                            pending for the resume
-     any other exit / any signal         -> failed attempt
-     wall-clock past cfg.timeout_s       -> SIGKILL, failed attempt
-     attempts exhausted                  -> quarantine with stderr tail
-
-   Failed attempts requeue with exponential backoff plus deterministic
-   jitter; quarantined jobs keep the batch going (exit code 4, not a
-   crash).  SIGTERM/SIGINT (or the deadline) starts a drain: dispatch
-   stops, in-flight workers get SIGTERM (their exploration stops at a
-   safe point via the rcfg cancel hook), and the queue state is
-   checkpointed so --resume picks up exactly the unfinished jobs. *)
+   The verdict policy lives here too, shared with the daemon: a unit is
+   one job, answered from the verdict cache (exact key, then symmetry
+   key) when it can be, else by a forked worker; a worker that exits 0
+   with a valid result file gives the verdict, any other failure
+   retries, and a job whose attempts run out is quarantined with the
+   worker's stderr tail (exit code 4, not a crash).  The batch adds the
+   deadline, the resume checkpoint and the summary. *)
 
 type cfg = {
   out : string option;
@@ -62,19 +45,11 @@ let default_cfg =
     verbose = false;
   }
 
-type quarantined = {
-  q_job : Job.t;
-  q_attempts : int;
-  q_reason : string;
-  q_stderr : string;
-}
-
 type summary = {
   total : int;
   completed : int;
   ok : int;
   violations : int;
-  quarantined : quarantined list;
   quarantined_total : int;
   pending : int;
   served_from_cache : int;
@@ -92,109 +67,136 @@ let exit_code s =
   else if s.quarantined_total > 0 then 4
   else 0
 
-(* Deterministic jitter: a SplitMix64-style scramble of (job_id,
-   attempt), reduced mod base.  Same schedule on every run — a retry
-   storm never synchronizes, and a reproduction run backs off exactly
-   like the original. *)
-let backoff_delay_ms ~base ~attempt ~job_id =
-  if base <= 0 then 0
-  else
-    let z =
-      Int64.mul
-        (Int64.add
-           (Int64.mul (Int64.of_int job_id) 0x9E3779B97F4A7C15L)
-           (Int64.of_int attempt))
-        0xBF58476D1CE4E5B9L
-    in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    let jitter = Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int base)) in
-    (base * (1 lsl min (attempt - 1) 16)) + jitter
+(* --- the verdict policy, shared with the daemon ------------------------------- *)
 
-(* JSONL rendering and the fork-per-attempt machinery live in [Runner],
-   shared with the socket daemon; this file keeps only the scheduling
-   policy (queues, retries, drain, checkpoint). *)
+module S = Supervisor
 
-let quarantine_record q ~ms =
-  Runner.quarantine_record q.q_job ~reason:q.q_reason ~stderr:q.q_stderr
-    ~attempts:q.q_attempts ~ms
+type job = { job : Job.t; mat : Runner.mat }
+
+type tally = {
+  mutable completed : int;
+  mutable violations : int;
+  mutable quarantined : int;
+  mutable served_from_cache : int;
+  mutable sym_dedup : int;
+  mutable states : int;
+}
+
+let tally () =
+  {
+    completed = 0;
+    violations = 0;
+    quarantined = 0;
+    served_from_cache = 0;
+    sym_dedup = 0;
+    states = 0;
+  }
+
+let job_work ?attempts ~owner ~model (j : Job.t) =
+  S.work ?attempts ~id:j.Job.id ~owner { job = j; mat = Runner.materialize ~model j }
+
+let job_cfg ~workers ~retries ~backoff_ms ~timeout_s ~resident ~out ~listen
+    ~max_clients ~log ~verbose =
+  {
+    S.noun = "worker";
+    item = "job";
+    label = (fun j -> Job.label j.job);
+    slots = workers;
+    retries;
+    backoff_ms;
+    timeout_s;
+    heartbeat = false;
+    resident;
+    out;
+    listen;
+    max_clients;
+    log;
+    verbose;
+  }
+
+let verdicts t ~cache ~attempt tally ~settled ~parked =
+  let { S.timeout_s; retries; log; verbose; _ } = S.cfg t in
+  let settle w v record =
+    S.finish t w [ record ];
+    settled w v record
+  in
+  let verdict w v ~cached ~ms =
+    (match w.S.payload.mat.Runner.m_prog with
+    | Some (_, key, skey) ->
+        Verdict_cache.add cache key v;
+        Verdict_cache.add cache skey v
+    | None -> ());
+    tally.completed <- tally.completed + 1;
+    if v.Verdict_cache.v_violation then tally.violations <- tally.violations + 1;
+    if cached then tally.served_from_cache <- tally.served_from_cache + 1
+    else tally.states <- tally.states + v.Verdict_cache.v_states;
+    settle w (Some v)
+      (Runner.verdict_record w.S.payload.job v ~cached ~attempts:(w.S.attempts + 1) ~ms)
+  in
+  let quarantine w ~ms =
+    tally.quarantined <- tally.quarantined + 1;
+    log
+      (Printf.sprintf "QUARANTINED %s after %d attempt(s): %s"
+         (Job.label w.S.payload.job) w.S.attempts w.S.reason);
+    settle w None
+      (Runner.quarantine_record w.S.payload.job ~reason:w.S.reason
+         ~stderr:w.S.stderr_tail ~attempts:w.S.attempts ~ms)
+  in
+  let fail w reason ~ms = if not (S.retry t w reason) then quarantine w ~ms in
+  let spawn w =
+    S.spawn t w (fun files cancelled ->
+        attempt ~cancelled ~result_path:files.S.result w.S.payload.job w.S.payload.mat)
+  in
+  let start w =
+    match w.S.payload.mat with
+    | { Runner.m_error = Some e; _ } ->
+        (* Unreproducible source: retrying cannot help. *)
+        w.S.reason <- "unusable job: " ^ e;
+        w.S.attempts <- retries;
+        quarantine w ~ms:0.
+    | { Runner.m_prog = Some (_, key, skey); _ } -> (
+        match Verdict_cache.find cache key with
+        | Some v -> verdict w v ~cached:true ~ms:0.
+        | None -> (
+            (* Exact text never verified — but a renaming of it may have
+               been: the symmetry key answers with the class
+               representative's verdict. *)
+            match Verdict_cache.find cache skey with
+            | Some v ->
+                tally.sym_dedup <- tally.sym_dedup + 1;
+                verdict w v ~cached:true ~ms:0.
+            | None -> spawn w))
+    | _ -> (* wedge: never cached *) spawn w
+  in
+  let on_exit w e ~ms =
+    match e with
+    | S.Exit_ok -> (
+        match Runner.read_result w.S.files.S.result with
+        | Some v -> verdict w v ~cached:false ~ms
+        | None -> fail w "worker exited 0 but left no valid result file" ~ms)
+    | S.Exit_parked ->
+        if verbose then
+          log (Printf.sprintf "%s cancelled at a safe point" (Job.label w.S.payload.job));
+        parked w
+    | S.Exit_failed reason -> fail w reason ~ms
+    | S.Exit_hung -> fail w (Printf.sprintf "timeout: SIGKILL after %.1fs" timeout_s) ~ms
+  in
+  (start, on_exit)
 
 (* --- checkpoint -------------------------------------------------------------- *)
 
-let ckpt_kind = "weakord.batch"
+let ckpt_kind = "weakord.batch2"
 
 type ckpt = {
   c_fingerprint : string;
   c_model : string;
-  c_emitted : int list;  (** final records already streamed *)
-  c_attempts : (int * int) list;  (** unfinished jobs: id, failed attempts *)
+  c_pending : (int * int) list;  (** unfinished jobs: id, failed attempts *)
   c_completed : int;
   c_violations : int;
   c_quarantined : int;
 }
 
-let write_ckpt path ck =
-  Snapshot.write_file path
-    (Snapshot.frame ~kind:ckpt_kind
-       ~meta:
-         (Printf.sprintf "%d emitted, %d quarantined"
-            (List.length ck.c_emitted) ck.c_quarantined)
-       ~payload:(Marshal.to_string ck []))
-
-let load_ckpt path =
-  match Snapshot.load path with
-  | Error (e, _) ->
-      raise
-        (Resume_rejected
-           (Printf.sprintf "%s: %s" path (Snapshot.error_string e)))
-  | Ok { Snapshot.container = c; recovered } ->
-      if not (String.equal c.Snapshot.kind ckpt_kind) then
-        raise
-          (Resume_rejected
-             (Printf.sprintf "%s holds a %S snapshot, expected %S" path
-                c.Snapshot.kind ckpt_kind));
-      (match (Marshal.from_string c.Snapshot.payload 0 : ckpt) with
-      | ck -> (ck, recovered)
-      | exception (Failure _ | Invalid_argument _) ->
-          raise
-            (Resume_rejected
-               (path ^ ": checkpoint payload does not unmarshal")))
-
-(* --- job materialization ----------------------------------------------------- *)
-
-type jstate = {
-  job : Job.t;
-  prog : (Prog.t * string * string) option;
-      (** program + cache key + symmetry key; [None] = wedge *)
-  mat_error : string option;
-  mutable attempts : int;
-  mutable eligible_at : float;
-  mutable last_reason : string;
-  mutable last_stderr : string;
-}
-
-let materialize model (j : Job.t) =
-  let m = Runner.materialize ~model j in
-  {
-    job = j;
-    prog = m.Runner.m_prog;
-    mat_error = m.Runner.m_error;
-    attempts = 0;
-    eligible_at = 0.;
-    last_reason = "";
-    last_stderr = "";
-  }
-
-(* --- the supervisor loop ----------------------------------------------------- *)
-
-type running = {
-  r_js : jstate;
-  r_pid : int;
-  r_started : float;
-  r_result : string;
-  r_stderr : string;
-  mutable r_timed_out : bool;
-  mutable r_term_sent : bool;
-}
+(* --- the batch front end ------------------------------------------------------ *)
 
 let run cfg jobs =
   if cfg.workers < 1 then invalid_arg "Batch.run: workers must be >= 1";
@@ -202,13 +204,19 @@ let run cfg jobs =
   let t0 = Unix.gettimeofday () in
   let fingerprint = Job.fingerprint jobs in
   let model_name = Worker.model_name cfg.model in
-  (* Resume: restore the emitted set and attempt counters, after
-     validating that the checkpoint matches this job list and model. *)
-  let resumed =
+  let tally = tally () in
+  (* Resume: only the checkpoint's pending jobs run, with their attempt
+     counters, after validating that it matches this job list and
+     model; prior tallies fold in so exit codes reflect the whole batch. *)
+  let attempts_of =
     match cfg.resume with
-    | None -> None
+    | None -> fun _ -> Some 0
     | Some path ->
-        let ck, recovered = load_ckpt path in
+        let (ck : ckpt), recovered =
+          match S.load_snapshot ~kind:ckpt_kind path with
+          | Ok v -> v
+          | Error e -> raise (Resume_rejected e)
+        in
         if not (String.equal ck.c_fingerprint fingerprint) then
           raise
             (Resume_rejected
@@ -221,381 +229,85 @@ let run cfg jobs =
                   "checkpoint was taken under model %s, this run uses %s"
                   ck.c_model model_name));
         cfg.log
-          (Printf.sprintf
-             "resuming batch: %d/%d job(s) already finished%s"
-             (List.length ck.c_emitted) (List.length jobs)
+          (Printf.sprintf "resuming batch: %d/%d job(s) already finished%s"
+             (List.length jobs - List.length ck.c_pending)
+             (List.length jobs)
              (if recovered then
                 " (recovered from the last-good .prev generation)"
               else ""));
-        Some ck
+        tally.completed <- ck.c_completed;
+        tally.violations <- ck.c_violations;
+        tally.quarantined <- ck.c_quarantined;
+        Hashtbl.find_opt (Hashtbl.of_seq (List.to_seq ck.c_pending))
   in
-  let emitted = Hashtbl.create 1024 in
-  (match resumed with
-  | Some ck -> List.iter (fun id -> Hashtbl.replace emitted id ()) ck.c_emitted
-  | None -> ());
-  let states =
+  let works =
     List.filter_map
       (fun j ->
-        if Hashtbl.mem emitted j.Job.id then None
-        else Some (materialize cfg.model j))
+        Option.map
+          (fun attempts -> job_work ~attempts ~owner:(-1) ~model:cfg.model j)
+          (attempts_of j.Job.id))
       jobs
   in
-  (match resumed with
-  | Some ck ->
-      List.iter
-        (fun js ->
-          match List.assoc_opt js.job.Job.id ck.c_attempts with
-          | Some a -> js.attempts <- a
-          | None -> ())
-        states
-  | None -> ());
-  (* Output stream: append mode, so an interrupted run's file plus its
-     resume's file concatenate into the full result set. *)
-  let out_ch, close_out_ch =
-    match cfg.out with
-    | None -> (Stdlib.stdout, fun () -> flush Stdlib.stdout)
-    | Some p ->
-        let ch = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 p in
-        (ch, fun () -> close_out ch)
+  let t =
+    S.create
+      (job_cfg ~workers:cfg.workers ~retries:cfg.retries
+         ~backoff_ms:cfg.backoff_ms ~timeout_s:cfg.timeout_s ~resident:false
+         ~out:(match cfg.out with None -> S.Stdout | Some p -> S.Append p)
+         ~listen:None ~max_clients:0 ~log:cfg.log ~verbose:cfg.verbose)
   in
-  let emit line =
-    output_string out_ch line;
-    output_char out_ch '\n';
-    flush out_ch
+  List.iter (S.enqueue t) works;
+  let settled w v _ =
+    match v with
+    | Some v when v.Verdict_cache.v_violation ->
+        cfg.log
+          (Printf.sprintf "VIOLATION %s: %d outcome(s) beyond SC under %s"
+             (Job.label w.S.payload.job)
+             (List.length v.Verdict_cache.v_outcomes)
+             model_name)
+    | _ -> ()
   in
-  (* Scratch area for result files and stderr captures. *)
-  let scratch =
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "weakord-batch-%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
+  let attempt =
+    Runner.attempt ~model:cfg.model ?fuel:cfg.fuel ?spill_dir:cfg.spill_dir
+      ?mem_budget:cfg.mem_budget
   in
-  let result_path id = Filename.concat scratch (Printf.sprintf "job%d.result" id) in
-  let stderr_path id = Filename.concat scratch (Printf.sprintf "job%d.stderr" id) in
-  (* Drain signal: first SIGTERM/SIGINT flips the flag; the loop does
-     the rest at a safe point.  Handlers are restored before we return
-     (the in-process test harness runs many batches per process). *)
-  let drain = ref false in
-  let install s = Sys.signal s (Sys.Signal_handle (fun _ -> drain := true)) in
-  let old_term = install Sys.sigterm in
-  let old_int = install Sys.sigint in
-  let restore () =
-    Sys.set_signal Sys.sigterm old_term;
-    Sys.set_signal Sys.sigint old_int
+  let start, on_exit =
+    verdicts t ~cache:cfg.cache ~attempt tally ~settled ~parked:(S.enqueue t)
   in
-  (* Mutable tallies; prior-run numbers fold in so exit codes reflect
-     the whole batch, not just the post-resume tail. *)
-  let completed = ref 0 and ok = ref 0 and violations = ref 0 in
-  let served_from_cache = ref 0 in
-  let sym_dedup = ref 0 in
-  let quarantined = ref [] in
-  let prior =
-    match resumed with
-    | Some ck -> (ck.c_completed, ck.c_violations, ck.c_quarantined)
-    | None -> (0, 0, 0)
-  in
-  let ready : jstate Queue.t = Queue.create () in
-  let delayed : jstate list ref = ref [] in
-  List.iter (fun js -> Queue.add js ready) states;
-  let running : running list ref = ref [] in
-  let last_ckpt = ref 0. in
-  let save_ckpt ~force () =
-    match cfg.checkpoint with
-    | None -> ()
-    | Some path ->
-        let now = Unix.gettimeofday () in
-        if force || now -. !last_ckpt > 0.25 then begin
-          last_ckpt := now;
-          let unfinished =
-            List.filter
-              (fun j -> not (Hashtbl.mem emitted j.Job.id))
-              jobs
-          in
-          let attempts_of id =
-            let find l = List.find_opt (fun js -> js.job.Job.id = id) l in
-            match
-              ( find (List.of_seq (Queue.to_seq ready)),
-                find !delayed,
-                List.find_opt (fun r -> r.r_js.job.Job.id = id) !running )
-            with
-            | Some js, _, _ | _, Some js, _ -> js.attempts
-            | _, _, Some r -> r.r_js.attempts
-            | _ -> 0
-          in
-          let pc, pv, pq = prior in
-          write_ckpt path
-            {
-              c_fingerprint = fingerprint;
-              c_model = model_name;
-              c_emitted =
-                Hashtbl.fold (fun id () acc -> id :: acc) emitted []
-                |> List.sort compare;
-              c_attempts =
-                List.map (fun j -> (j.Job.id, attempts_of j.Job.id)) unfinished;
-              c_completed = pc + !completed;
-              c_violations = pv + !violations;
-              c_quarantined = pq + List.length !quarantined;
-            }
-        end
-  in
-  let mark_emitted id =
-    Hashtbl.replace emitted id ();
-    save_ckpt ~force:false ()
-  in
-  let finish_verdict js v ~cached ~ms =
-    (match js.prog with
-    | Some (_, key, skey) ->
-        Verdict_cache.add cfg.cache key v;
-        Verdict_cache.add cfg.cache skey v
-    | None -> ());
-    incr completed;
-    if v.Verdict_cache.v_violation then begin
-      incr violations;
-      cfg.log
-        (Printf.sprintf "VIOLATION %s: %d outcome(s) beyond SC under %s"
-           (Job.label js.job)
-           (List.length v.Verdict_cache.v_outcomes)
-           model_name)
-    end
-    else incr ok;
-    if cached then incr served_from_cache;
-    emit
-      (Runner.verdict_record js.job v ~cached ~attempts:(js.attempts + 1) ~ms);
-    mark_emitted js.job.Job.id
-  in
-  let quarantine js ~ms =
-    let q =
+  let save path () =
+    let pending = List.map (fun w -> (w.S.id, w.S.attempts)) (S.pending t) in
+    S.save_snapshot ~kind:ckpt_kind
+      ~meta:
+        (Printf.sprintf "%d pending, %d quarantined" (List.length pending)
+           tally.quarantined)
+      path
       {
-        q_job = js.job;
-        q_attempts = js.attempts;
-        q_reason = js.last_reason;
-        q_stderr = js.last_stderr;
+        c_fingerprint = fingerprint;
+        c_model = model_name;
+        c_pending = pending;
+        c_completed = tally.completed;
+        c_violations = tally.violations;
+        c_quarantined = tally.quarantined;
       }
-    in
-    quarantined := !quarantined @ [ q ];
-    cfg.log
-      (Printf.sprintf "QUARANTINED %s after %d attempt(s): %s"
-         (Job.label js.job) js.attempts js.last_reason);
-    emit (quarantine_record q ~ms);
-    mark_emitted js.job.Job.id
   in
-  let requeue js =
-    let delay =
-      backoff_delay_ms ~base:cfg.backoff_ms ~attempt:js.attempts
-        ~job_id:js.job.Job.id
-    in
-    js.eligible_at <- Unix.gettimeofday () +. (float_of_int delay /. 1000.);
-    delayed := !delayed @ [ js ];
-    if cfg.verbose then
-      cfg.log
-        (Printf.sprintf "retrying %s in %d ms (attempt %d/%d: %s)"
-           (Job.label js.job) delay (js.attempts + 1) cfg.retries
-           js.last_reason)
+  let should_drain () =
+    match cfg.deadline_s with
+    | Some d when Unix.gettimeofday () > t0 +. d ->
+        Some "batch deadline reached; draining"
+    | _ -> None
   in
-  let attempt_failed r reason =
-    let js = r.r_js in
-    js.attempts <- js.attempts + 1;
-    js.last_reason <- reason;
-    js.last_stderr <- Runner.read_tail r.r_stderr;
-    if js.attempts >= cfg.retries then
-      quarantine js ~ms:((Unix.gettimeofday () -. r.r_started) *. 1000.)
-    else requeue js
-  in
-  let handle_exit r status =
-    let ms = (Unix.gettimeofday () -. r.r_started) *. 1000. in
-    match status with
-    | Unix.WEXITED 0 -> (
-        match Runner.read_result r.r_result with
-        | Some v -> finish_verdict r.r_js v ~cached:false ~ms
-        | None ->
-            attempt_failed r "worker exited 0 but left no valid result file")
-    | Unix.WEXITED 9 ->
-        (* Drain cancellation: not a failure — the job goes back to the
-           queue untouched and lands in the resume checkpoint. *)
-        if cfg.verbose then
-          cfg.log (Printf.sprintf "%s cancelled at a safe point" (Job.label r.r_js.job));
-        Queue.add r.r_js ready
-    | Unix.WEXITED n -> attempt_failed r (Printf.sprintf "worker exited %d" n)
-    | Unix.WSIGNALED _ when r.r_timed_out ->
-        attempt_failed r
-          (Printf.sprintf "timeout: SIGKILL after %.1fs" cfg.timeout_s)
-    | Unix.WSIGNALED s ->
-        attempt_failed r
-          (Printf.sprintf "worker killed by %s" (Runner.signal_name s))
-    | Unix.WSTOPPED _ ->
-        (* Not requested (no WUNTRACED); treat defensively. *)
-        (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        attempt_failed r "worker stopped unexpectedly"
-  in
-  let exec =
-    {
-      Runner.x_model = cfg.model;
-      x_fuel = cfg.fuel;
-      x_spill_dir = cfg.spill_dir;
-      x_mem_budget = cfg.mem_budget;
-    }
-  in
-  let spawn js =
-    let rp = result_path js.job.Job.id and sp = stderr_path js.job.Job.id in
-    flush out_ch;
-    let pid =
-      Runner.spawn exec ~result_path:rp ~stderr_path:sp js.job
-        { Runner.m_prog = js.prog; m_error = js.mat_error }
-    in
-    if cfg.verbose then
-      cfg.log
-        (Printf.sprintf "worker %d started %s (attempt %d/%d)" pid
-           (Job.label js.job) (js.attempts + 1) cfg.retries);
-    running :=
-      {
-        r_js = js;
-        r_pid = pid;
-        r_started = Unix.gettimeofday ();
-        r_result = rp;
-        r_stderr = sp;
-        r_timed_out = false;
-        r_term_sent = false;
-      }
-      :: !running
-  in
-  let deadline_at = Option.map (fun d -> t0 +. d) cfg.deadline_s in
-  let drain_announced = ref false in
-  let finally () =
-    restore ();
-    close_out_ch ();
-    (* Best-effort scratch cleanup; captured stderr of quarantined jobs
-       already lives in their records. *)
-    (match Sys.readdir scratch with
-    | files ->
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat scratch f) with Sys_error _ -> ())
-          files;
-        (try Unix.rmdir scratch with Unix.Unix_error _ -> ())
-    | exception Sys_error _ -> ())
-  in
-  (try
-     let continue () =
-       !running <> []
-       || ((not !drain)
-          && ((not (Queue.is_empty ready)) || !delayed <> []))
-     in
-     while continue () do
-       let now = Unix.gettimeofday () in
-       (* Deadline is just a self-inflicted drain. *)
-       (match deadline_at with
-       | Some d when (not !drain) && now > d ->
-           drain := true;
-           cfg.log "batch deadline reached; draining"
-       | _ -> ());
-       (* Drain: forward SIGTERM once to every in-flight worker. *)
-       if !drain then begin
-         if not !drain_announced then begin
-           drain_announced := true;
-           cfg.log
-             (Printf.sprintf
-                "draining: %d worker(s) in flight, %d job(s) queued"
-                (List.length !running)
-                (Queue.length ready + List.length !delayed))
-         end;
-         List.iter
-           (fun r ->
-             if not r.r_term_sent then begin
-               r.r_term_sent <- true;
-               try Unix.kill r.r_pid Sys.sigterm
-               with Unix.Unix_error _ -> ()
-             end)
-           !running
-       end;
-       (* Timeouts: SIGKILL, then let the reaper classify it. *)
-       List.iter
-         (fun r ->
-           if (not r.r_timed_out) && now -. r.r_started > cfg.timeout_s
-           then begin
-             r.r_timed_out <- true;
-             try Unix.kill r.r_pid Sys.sigkill
-             with Unix.Unix_error _ -> ()
-           end)
-         !running;
-       (* Reap. *)
-       let progressed = ref false in
-       let still = ref [] in
-       List.iter
-         (fun r ->
-           match Unix.waitpid [ Unix.WNOHANG ] r.r_pid with
-           | 0, _ -> still := r :: !still
-           | _, status ->
-               progressed := true;
-               handle_exit r status
-           | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-               still := r :: !still)
-         !running;
-       running := !still;
-       (* Promote delayed jobs whose backoff expired. *)
-       let due, later =
-         List.partition (fun js -> js.eligible_at <= now) !delayed
-       in
-       delayed := later;
-       List.iter (fun js -> Queue.add js ready) due;
-       (* Dispatch. *)
-       while
-         (not !drain)
-         && List.length !running < cfg.workers
-         && not (Queue.is_empty ready)
-       do
-         progressed := true;
-         let js = Queue.pop ready in
-         match js.mat_error with
-         | Some e ->
-             (* Unreproducible source: retrying cannot help — straight
-                to quarantine, batch keeps going. *)
-             js.last_reason <- "unusable job: " ^ e;
-             js.attempts <- cfg.retries;
-             quarantine js ~ms:0.
-         | None -> (
-             match js.prog with
-             | Some (_, key, skey) -> (
-                 match Verdict_cache.find cfg.cache key with
-                 | Some v -> finish_verdict js v ~cached:true ~ms:0.
-                 | None -> (
-                     (* Exact text never verified — but a renaming of it
-                        may have been: the symmetry key answers with the
-                        class representative's verdict (identical up to
-                        the names inside v_outcomes strings). *)
-                     match Verdict_cache.find cfg.cache skey with
-                     | Some v ->
-                         incr sym_dedup;
-                         finish_verdict js v ~cached:true ~ms:0.
-                     | None -> spawn js))
-             | None -> (* wedge: never cached *) spawn js)
-       done;
-       if not !progressed then (
-         try Unix.sleepf 0.01 with Unix.Unix_error _ -> ())
-     done;
-     save_ckpt ~force:true ()
-   with e ->
-     (try save_ckpt ~force:true () with _ -> ());
-     finally ();
-     raise e);
-  finally ();
-  let pending =
-    Queue.length ready + List.length !delayed + List.length !running
-  in
-  let pc, pv, pq = prior in
+  S.run t ~should_drain ?save:(Option.map save cfg.checkpoint) ~start ~on_exit ();
+  let pending = S.pending_count t in
   {
     total = List.length jobs;
-    completed = pc + !completed;
-    ok = !ok;
-    violations = pv + !violations;
-    quarantined = !quarantined;
-    quarantined_total = pq + List.length !quarantined;
+    completed = tally.completed;
+    ok = tally.completed - tally.violations;
+    violations = tally.violations;
+    quarantined_total = tally.quarantined;
     pending;
-    served_from_cache = !served_from_cache;
-    sym_dedup = !sym_dedup;
+    served_from_cache = tally.served_from_cache;
+    sym_dedup = tally.sym_dedup;
     cache = Verdict_cache.stats cfg.cache;
-    suspended = !drain && pending > 0;
+    suspended = S.draining t && pending > 0;
     wall_s = Unix.gettimeofday () -. t0;
   }
 

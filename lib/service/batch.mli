@@ -1,28 +1,19 @@
-(** The supervised batch verification service.
+(** The supervised batch verification service: the {!Supervisor}
+    kernel fed from a job file.
 
-    A batch fans its jobs out across a pool of {e forked} worker
-    processes — crash isolation by construction: a segfault, OOM-kill,
-    or wedge in one job costs at most that job's attempt, never the
-    batch.  The supervisor is the only long-lived process and does no
-    verification work itself.
-
-    Robustness machinery:
-    - {b per-job timeouts}: a worker past its wall-clock budget is
-      SIGKILLed and the attempt counts as failed;
-    - {b retry with backoff}: failed attempts are retried up to
-      [cfg.retries] times, each retry delayed by exponential backoff
-      plus deterministic jitter ({!backoff_delay_ms});
+    Each job is one kernel unit, so a batch inherits the kernel's crash
+    isolation (one forked worker per attempt), per-job timeouts, retry
+    with deterministic backoff, and graceful drain on SIGTERM/SIGINT.
+    The batch adds its policy:
+    - {b verdicts}: served from and recorded to a persistent
+      {!Verdict_cache} when possible, so replaying a corpus is nearly
+      free ({!verdicts});
     - {b poison quarantine}: a job that exhausts its attempts is
-      quarantined with the worker's last stderr captured for triage, and
-      the batch carries on;
-    - {b graceful drain}: SIGTERM/SIGINT (or the batch deadline) stops
-      dispatch, forwards SIGTERM to in-flight workers (whose exploration
-      stops at a safe point via the {!Explore.rcfg} cancel hook), writes
-      a crash-safe checkpoint, and exits with the suspended summary;
+      quarantined with the worker's last stderr captured for triage,
+      and the batch carries on;
+    - {b deadline}: [cfg.deadline_s] is a self-inflicted drain;
     - {b resume}: [cfg.resume] validates the checkpoint against the job
-      list's fingerprint and re-runs only unfinished jobs;
-    - {b verdict cache}: results are served from and recorded to a
-      persistent {!Verdict_cache} so replaying a corpus is nearly free.
+      list's fingerprint and model, and re-runs only unfinished jobs.
 
     Results stream as JSONL (one object per job, in completion order) to
     [cfg.out]; quarantined jobs produce a record carrying the full
@@ -54,19 +45,12 @@ val default_cfg : cfg
 (** 4 workers, 10 s timeout, 3 attempts, 100 ms backoff, in-memory
     cache, drf0, silent log. *)
 
-type quarantined = {
-  q_job : Job.t;
-  q_attempts : int;
-  q_reason : string;  (** last failure, e.g. ["timeout: SIGKILL after 0.5s"] *)
-  q_stderr : string;  (** tail of the worker's captured stderr *)
-}
-
 type summary = {
   total : int;  (** jobs in the (expanded) job list *)
   completed : int;  (** verdicts emitted, this run + resumed-from runs *)
-  ok : int;  (** verdicts without a violation, this run *)
-  violations : int;  (** Definition-2 counterexamples found, this run *)
-  quarantined : quarantined list;  (** this run's quarantine, newest last *)
+  ok : int;  (** [completed - violations] *)
+  violations : int;
+      (** Definition-2 counterexamples found, this run + resumed-from runs *)
   quarantined_total : int;  (** including resumed-from runs *)
   pending : int;  (** jobs not finished (> 0 only when suspended) *)
   served_from_cache : int;  (** verdicts answered without forking *)
@@ -93,12 +77,61 @@ val exit_code : summary -> int
     written when configured), else [1] when any violation was found,
     else [4] when any job was quarantined, else [0]. *)
 
-val backoff_delay_ms : base:int -> attempt:int -> job_id:int -> int
-(** Delay before retry number [attempt] (1-based count of failures so
-    far) of [job_id]: [base * 2^(attempt-1)] plus a deterministic jitter
-    in [0, base) derived from [(job_id, attempt)] — reproducible
-    schedules, no thundering herd. *)
-
 val pp_summary : Format.formatter -> summary -> unit
 (** The human summary the CLI prints to stderr, including cache
     hit/miss/corrupt counters. *)
+
+(** {1 The verdict policy}
+
+    Shared with {!Daemon}: a unit of work is one job. *)
+
+type job = { job : Job.t; mat : Runner.mat }
+
+type tally = {
+  mutable completed : int;
+  mutable violations : int;
+  mutable quarantined : int;
+  mutable served_from_cache : int;
+  mutable sym_dedup : int;  (** cache hits via the symmetry key only *)
+  mutable states : int;  (** states expanded by non-cached verdicts *)
+}
+
+val tally : unit -> tally
+(** All zero. *)
+
+val job_work :
+  ?attempts:int -> owner:int -> model:Worker.model -> Job.t -> job Supervisor.work
+(** A unit for the job, materialized under [model]; its id is the job's. *)
+
+val job_cfg :
+  workers:int ->
+  retries:int ->
+  backoff_ms:int ->
+  timeout_s:float ->
+  resident:bool ->
+  out:Supervisor.sink ->
+  listen:(Unix.file_descr * string) option ->
+  max_clients:int ->
+  log:(string -> unit) ->
+  verbose:bool ->
+  job Supervisor.cfg
+(** The kernel configuration for verdict workers (wall-clock watchdog). *)
+
+val verdicts :
+  job Supervisor.t ->
+  cache:Verdict_cache.t ->
+  attempt:
+    (cancelled:(unit -> bool) -> result_path:string -> Job.t -> Runner.mat -> unit) ->
+  tally ->
+  settled:(job Supervisor.work -> Verdict_cache.verdict option -> string -> unit) ->
+  parked:(job Supervisor.work -> unit) ->
+  (job Supervisor.work -> unit)
+  * (job Supervisor.work -> Supervisor.exit -> ms:float -> unit)
+(** The kernel's [start] and [on_exit] for verdict jobs.  [start]
+    quarantines an unusable job at once, answers from the cache (exact
+    key, then symmetry key) when it can, and otherwise forks [attempt]
+    (a partial application of {!Runner.attempt}).  A verdict is cached, tallied and streamed; a
+    failed attempt retries; an exhausted job is quarantined and
+    streamed.  [settled w v record] runs after either final record
+    ([v = None] for a quarantine); [parked w] gets a job its worker
+    left at a drain's safe point. *)

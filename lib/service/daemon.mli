@@ -1,15 +1,15 @@
 (** The long-lived verification daemon behind [weakord serve].
 
-    A single-threaded event loop serving many concurrent clients over a
-    Unix-domain socket.  Clients speak the {!Wire} protocol
+    The daemon's request grammar over the {!Supervisor} kernel: clients
+    on a Unix-domain socket speak the {!Wire} protocol
     ([SUBMIT]/[STATUS]/[RESULT]/[CANCEL]/[STATS]/[DRAIN]; spec in
-    [docs/PROTOCOL.md]); submitted jobs become {e tickets} multiplexed
-    onto the same fork-per-attempt machinery as the one-shot {!Batch}
-    supervisor ({!Runner}), under the same timeout / retry-with-backoff
-    / poison-quarantine policy, against one {!Verdict_cache} shared by
-    every client — including the orbit-canonical symmetry key, so a
-    job completes instantly when any client ever paid for a verdict of
-    any program in its renaming class.
+    [docs/PROTOCOL.md]); submitted jobs become {e tickets} run under
+    {!Batch.verdicts}, the same timeout / retry-with-backoff /
+    poison-quarantine policy as [weakord batch], against one
+    {!Verdict_cache} shared by every client — including the
+    orbit-canonical symmetry key, so a job completes instantly when any
+    client ever paid for a verdict of any program in its renaming
+    class.
 
     {1 Fairness}
 

@@ -1,13 +1,9 @@
-(* The sharded fuzz fleet: a fault-tolerant supervisor over the
-   three-way differential oracle in [Fuzz].
-
-   Process architecture mirrors [Batch]: the supervisor forks one shard
-   worker per work-unit attempt (never more than [cfg.shards] in
-   flight) and does no verification itself.  A shard streams its unit's
-   seeds through [Fuzz.check_prog], heartbeats the seed it is about to
-   check into a per-spawn file, and ships its accumulated tallies back
-   in a CRC-framed result file; all parent-side state transitions
-   happen in one thread, in the reap/dispatch loop.
+(* The sharded fuzz fleet: the supervisor kernel fed from a seed range,
+   over the three-way differential oracle in [Fuzz].  A unit is a seed
+   range; its shard streams the seeds through [Fuzz.check_prog],
+   heartbeats the seed it is about to check (the kernel's watchdog
+   reads it), and ships its accumulated tallies back in a CRC-framed
+   result file.
 
    The failure matrix:
 
@@ -174,16 +170,11 @@ let acc_union a b =
     a_states = a.a_states + b.a_states;
   }
 
-type ustate = {
-  u_lo : int;
-  u_hi : int;
-  mutable u_frontier : int;  (* first unchecked seed *)
-  mutable u_acc : acc;  (* merged tallies for seeds below the frontier *)
-  mutable u_attempts : int;
-  mutable u_eligible_at : float;
-}
+(* A unit's payload: its seed range, the first unchecked seed, and the
+   merged tallies for the seeds below it. *)
+type span = { lo : int; hi : int; mutable frontier : int; mutable acc : acc }
 
-let ukey u = Printf.sprintf "%d..%d" u.u_lo u.u_hi
+let ukey u = Printf.sprintf "%d..%d" u.lo u.hi
 
 (* --- the shard worker --------------------------------------------------------- *)
 
@@ -205,22 +196,18 @@ let probe_oracle oracle =
    stale heartbeat as "wedged on exactly this seed".  A wedge seed spins
    forever and ignores SIGTERM — a faithful model of a real engine hang,
    which only the watchdog's SIGKILL resolves. *)
-let shard_body ~oracle ~wedge_seeds ~result ~hb ~stderr ~frontier ~hi ~key () =
-  let cancelled = ref false in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> cancelled := true));
-  Sys.set_signal Sys.sigint Sys.Signal_ignore;
-  Runner.redirect_stderr stderr;
+let shard_body ~oracle ~wedge_seeds ~key ~frontier ~hi files cancelled =
   let probe = probe_oracle oracle in
   let acc = ref acc_zero in
   let ship next code =
-    Runner.write_framed ~kind:unit_kind ~meta:key result
-      (Marshal.to_string (!acc, next) []);
+    Runner.write_framed ~kind:unit_kind ~meta:key files.Supervisor.result
+      ((!acc, next) : acc * int);
     Unix._exit code
   in
   let seed = ref frontier in
   while !seed <= hi do
-    if !cancelled then ship !seed 9;
-    Atomic_io.write_file ~fsync:false hb (string_of_int !seed);
+    if cancelled () then ship !seed 9;
+    Atomic_io.write_file ~fsync:false files.Supervisor.heartbeat (string_of_int !seed);
     let prog = Litmus_gen.generate ~config:probe.Fuzz.config !seed in
     if wedge_fires ~wedge_seeds ~seed:!seed prog then
       while true do
@@ -234,62 +221,29 @@ let shard_body ~oracle ~wedge_seeds ~result ~hb ~stderr ~frontier ~hi ~key () =
   done;
   ship (hi + 1) 0
 
-let read_unit_result path =
-  match Runner.read_framed ~kind:unit_kind path with
-  | None -> None
-  | Some payload -> (
-      match (Marshal.from_string payload 0 : acc * int) with
-      | v -> Some v
-      | exception (Failure _ | Invalid_argument _) -> None)
+let read_unit_result path : (acc * int) option =
+  Runner.read_framed ~kind:unit_kind path
 
 (* --- checkpoint --------------------------------------------------------------- *)
 
-let ckpt_kind = "weakord.fleet"
+let ckpt_kind = "weakord.fleet2"
+
+(* The campaign's cumulative counters; a checkpoint carries them, so a
+   resume folds the prior runs in. *)
+type campaign = {
+  mutable units_total : int;
+  mutable units_done : int;
+  mutable units_requeued : int;
+  mutable units_split : int;
+  mutable total : acc;  (** every merged seed's tallies *)
+  mutable poison : poison list;
+}
 
 type ckpt = {
   k_fingerprint : string;
-  k_pending : (int * int * int * int * acc) list;
-      (* lo, hi, frontier, attempts, merged tallies *)
-  k_units_total : int;
-  k_units_done : int;
-  k_units_requeued : int;
-  k_units_split : int;
-  k_programs : int;
-  k_checks : int;
-  k_disagreements : int;
-  k_sim_runs : int;
-  k_sim_wedged : int;
-  k_sim_skipped : int;
-  k_states : int;
-  k_poison : (int * string * int) list;  (* seed, reason, attempts *)
+  k_pending : (span * int) list;  (* with failed attempts *)
+  k_campaign : campaign;
 }
-
-let write_ckpt path ck =
-  Snapshot.write_file path
-    (Snapshot.frame ~kind:ckpt_kind
-       ~meta:
-         (Printf.sprintf "%d pending unit(s), %d poison"
-            (List.length ck.k_pending)
-            (List.length ck.k_poison))
-       ~payload:(Marshal.to_string ck []))
-
-let load_ckpt path =
-  match Snapshot.load path with
-  | Error (e, _) ->
-      raise
-        (Resume_rejected
-           (Printf.sprintf "%s: %s" path (Snapshot.error_string e)))
-  | Ok { Snapshot.container = c; recovered } ->
-      if not (String.equal c.Snapshot.kind ckpt_kind) then
-        raise
-          (Resume_rejected
-             (Printf.sprintf "%s holds a %S snapshot, expected %S" path
-                c.Snapshot.kind ckpt_kind));
-      (match (Marshal.from_string c.Snapshot.payload 0 : ckpt) with
-      | ck -> (ck, recovered)
-      | exception (Failure _ | Invalid_argument _) ->
-          raise
-            (Resume_rejected (path ^ ": checkpoint payload does not unmarshal")))
 
 (* The campaign identity a checkpoint must match before resuming.
    Deliberately excludes the shard count — an interrupted 4-shard
@@ -352,57 +306,24 @@ let hangs_in_fork ~oracle ~hang_timeout_s prog =
   let pid =
     Runner.fork_worker (fun () ->
         Runner.redirect_stderr "/dev/null";
+        (* The hang budget is the child's own alarm: SIGALRM kills it. *)
+        Sys.set_signal Sys.sigalrm Sys.Signal_default;
+        ignore
+          (Unix.setitimer Unix.ITIMER_REAL
+             { Unix.it_interval = 0.; it_value = hang_timeout_s });
         ignore (Fuzz.check_prog probe prog : Fuzz.seed_report);
         Unix._exit 0)
   in
-  let deadline = Unix.gettimeofday () +. hang_timeout_s in
   let rec wait () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-        if Unix.gettimeofday () > deadline then begin
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          true
-        end
-        else begin
-          (try Unix.sleepf 0.01 with Unix.Unix_error _ -> ());
-          wait ()
-        end
-    | _, Unix.WEXITED 0 -> false
-    | _, _ -> true
+    match Unix.waitpid [] pid with
+    | _, status -> status <> Unix.WEXITED 0
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
   in
   wait ()
 
 (* --- the supervisor ----------------------------------------------------------- *)
 
-type running = {
-  r_u : ustate;
-  r_pid : int;
-  r_started : float;
-  r_result : string;
-  r_hb : string;
-  r_stderr : string;
-  mutable r_hb_content : string;
-  mutable r_hb_at : float;
-  mutable r_term_sent : bool;
-  mutable r_hang_killed : bool;
-}
-
-(* One stats-socket client. *)
-type conn = {
-  n_fd : Unix.file_descr;
-  n_dec : Wire.decoder;
-  n_out : Buffer.t;
-  mutable n_hello : bool;
-  mutable n_closing : bool;
-  mutable n_dead : bool;
-}
-
-let read_hb path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> Some (String.trim s)
-  | exception Sys_error _ -> None
+module S = Supervisor
 
 let heap_bytes () =
   let s = Gc.quick_stat () in
@@ -415,197 +336,111 @@ let run cfg ~lo ~hi =
   if cfg.retries < 1 then invalid_arg "Fleet.run: retries must be >= 1";
   let t0 = Unix.gettimeofday () in
   let fp = fingerprint cfg ~lo ~hi in
-  (* Cumulative campaign counters; a resume folds the prior runs in. *)
-  let units_total = ref 0 in
-  let units_done = ref 0 in
-  let units_requeued = ref 0 in
-  let units_split = ref 0 in
-  let g_programs = ref 0 in
-  let g_checks = ref 0 in
-  let g_disagreements = ref 0 in
-  let g_sim_runs = ref 0 in
-  let g_sim_wedged = ref 0 in
-  let g_sim_skipped = ref 0 in
-  let g_states = ref 0 in
-  let prior_poison = ref [] in
-  let poisons = ref [] in
-  let ready : ustate Queue.t = Queue.create () in
-  let delayed : ustate list ref = ref [] in
-  let running : running list ref = ref [] in
-  (* Resume (restores the pending frontiers) or a fresh unit plan. *)
-  (match cfg.resume with
-  | None ->
-      let plan = units_of_range ~lo ~hi ~unit_seeds:cfg.unit_seeds in
-      units_total := List.length plan;
-      List.iter
-        (fun (a, b) ->
-          Queue.add
+  let span ?(attempts = 0) ?(acc = acc_zero) ?frontier lo hi =
+    let frontier = Option.value frontier ~default:lo in
+    S.work ~attempts ~id:lo ~owner:(-1) { lo; hi; frontier; acc }
+  in
+  let ck =
+    match cfg.resume with
+    | None ->
+        let plan = units_of_range ~lo ~hi ~unit_seeds:cfg.unit_seeds in
+        {
+          k_fingerprint = fp;
+          k_pending =
+            List.map (fun (a, b) -> ({ lo = a; hi = b; frontier = a; acc = acc_zero }, 0)) plan;
+          k_campaign =
             {
-              u_lo = a;
-              u_hi = b;
-              u_frontier = a;
-              u_acc = acc_zero;
-              u_attempts = 0;
-              u_eligible_at = 0.;
-            }
-            ready)
-        plan
-  | Some path ->
-      let ck, recovered = load_ckpt path in
-      if not (String.equal ck.k_fingerprint fp) then
-        raise
-          (Resume_rejected
-             "checkpoint was taken over a different campaign (fingerprints \
-              differ)");
-      units_total := ck.k_units_total;
-      units_done := ck.k_units_done;
-      units_requeued := ck.k_units_requeued;
-      units_split := ck.k_units_split;
-      g_programs := ck.k_programs;
-      g_checks := ck.k_checks;
-      g_disagreements := ck.k_disagreements;
-      g_sim_runs := ck.k_sim_runs;
-      g_sim_wedged := ck.k_sim_wedged;
-      g_sim_skipped := ck.k_sim_skipped;
-      g_states := ck.k_states;
-      prior_poison := ck.k_poison;
-      List.iter
-        (fun (a, b, frontier, attempts, acc) ->
-          Queue.add
-            {
-              u_lo = a;
-              u_hi = b;
-              u_frontier = frontier;
-              u_acc = acc;
-              u_attempts = attempts;
-              u_eligible_at = 0.;
-            }
-            ready)
-        (List.sort compare ck.k_pending);
-      cfg.log
-        (Printf.sprintf
-           "resuming fleet: %d unit(s) pending, %d/%d seed(s) already \
-            checked%s"
-           (Queue.length ready) !g_programs (hi - lo + 1)
-           (if recovered then
-              " (recovered from the last-good .prev generation)"
-            else "")));
-  let run_base_programs = !g_programs in
-  (* Output stream: append mode, so an interrupted run's records plus
-     its resume's records concatenate into the full campaign. *)
-  let out_ch, close_out_ch =
-    match cfg.out with
-    | None -> (Stdlib.stdout, fun () -> flush Stdlib.stdout)
-    | Some p ->
-        let ch = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 p in
-        (ch, fun () -> close_out ch)
-  in
-  let emit line =
-    output_string out_ch line;
-    output_char out_ch '\n';
-    flush out_ch
-  in
-  (* Scratch area for result, heartbeat and stderr files. *)
-  let scratch =
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "weakord-fleet-%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-  in
-  (* Stats socket (optional). *)
-  let listen_fd =
-    match cfg.stats_socket with
-    | None -> None
+              units_total = List.length plan;
+              units_done = 0;
+              units_requeued = 0;
+              units_split = 0;
+              total = acc_zero;
+              poison = [];
+            };
+        }
     | Some path ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try
-           Unix.bind fd (Unix.ADDR_UNIX path);
-           Unix.listen fd 16;
-           Unix.set_nonblock fd
-         with Unix.Unix_error (e, _, _) ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           invalid_arg
-             (Printf.sprintf "Fleet.run: cannot bind stats socket %s: %s" path
-                (Unix.error_message e)));
-        Some fd
+        let (ck : ckpt), recovered =
+          match S.load_snapshot ~kind:ckpt_kind path with
+          | Ok v -> v
+          | Error e -> raise (Resume_rejected e)
+        in
+        if not (String.equal ck.k_fingerprint fp) then
+          raise
+            (Resume_rejected
+               "checkpoint was taken over a different campaign (fingerprints \
+                differ)");
+        cfg.log
+          (Printf.sprintf
+             "resuming fleet: %d unit(s) pending, %d/%d seed(s) already \
+              checked%s"
+             (List.length ck.k_pending) ck.k_campaign.total.a_programs
+             (hi - lo + 1)
+             (if recovered then
+                " (recovered from the last-good .prev generation)"
+              else ""));
+        { ck with k_pending = List.sort compare ck.k_pending }
   in
-  let conns : conn list ref = ref [] in
-  (* Signals: first SIGTERM/SIGINT flips the drain flag; EPIPE from a
-     vanished stats client must be an error code, not a signal. *)
-  let drain = ref false in
-  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let install s = Sys.signal s (Sys.Signal_handle (fun _ -> drain := true)) in
-  let old_term = install Sys.sigterm in
-  let old_int = install Sys.sigint in
-  let restore_signals () =
-    Sys.set_signal Sys.sigpipe old_pipe;
-    Sys.set_signal Sys.sigterm old_term;
-    Sys.set_signal Sys.sigint old_int
+  let c = ck.k_campaign in
+  let prior_poison = List.length c.poison in
+  let run_base_programs = c.total.a_programs in
+  let listen =
+    Option.map
+      (fun path ->
+        match S.bind path with
+        | Ok fd -> (fd, path)
+        | Error e -> invalid_arg ("Fleet.run: cannot bind stats socket: " ^ e))
+      cfg.stats_socket
   in
+  let t =
+    S.create
+      {
+        S.noun = "shard";
+        item = "unit";
+        label = (fun u -> Printf.sprintf "unit %s at seed %d" (ukey u) u.frontier);
+        slots = cfg.shards;
+        retries = cfg.retries;
+        backoff_ms = cfg.backoff_ms;
+        timeout_s = cfg.hang_timeout_s;
+        heartbeat = true;
+        resident = false;
+        out = (match cfg.out with None -> S.Stdout | Some p -> S.Append p);
+        listen;
+        max_clients = max_int;
+        log = cfg.log;
+        verbose = cfg.verbose;
+      }
+  in
+  List.iter
+    (fun (u, attempts) -> S.enqueue t (S.work ~attempts ~id:u.lo ~owner:(-1) u))
+    ck.k_pending;
   let budget =
     Budget.create ?deadline_s:cfg.deadline_s ?mem_bytes:cfg.mem_budget ()
   in
-  let shards_gauge = Obs.Gauge.create () in
-  let queue_gauge = Obs.Gauge.create () in
-  let pending_units () =
-    List.of_seq (Queue.to_seq ready)
-    @ !delayed
-    @ List.map (fun r -> r.r_u) !running
-  in
-  let last_ckpt = ref 0. in
-  let save_ckpt ~force () =
-    match cfg.checkpoint with
-    | None -> ()
-    | Some path ->
-        let now = Unix.gettimeofday () in
-        if force || now -. !last_ckpt > 0.25 then begin
-          last_ckpt := now;
-          write_ckpt path
-            {
-              k_fingerprint = fp;
-              k_pending =
-                List.map
-                  (fun u -> (u.u_lo, u.u_hi, u.u_frontier, u.u_attempts, u.u_acc))
-                  (pending_units ());
-              k_units_total = !units_total;
-              k_units_done = !units_done;
-              k_units_requeued = !units_requeued;
-              k_units_split = !units_split;
-              k_programs = !g_programs;
-              k_checks = !g_checks;
-              k_disagreements = !g_disagreements;
-              k_sim_runs = !g_sim_runs;
-              k_sim_wedged = !g_sim_wedged;
-              k_sim_skipped = !g_sim_skipped;
-              k_states = !g_states;
-              k_poison =
-                !prior_poison
-                @ List.map (fun p -> (p.p_seed, p.p_reason, p.p_attempts)) !poisons;
-            }
-        end
+  let save path () =
+    let pending = S.pending t in
+    S.save_snapshot ~kind:ckpt_kind
+      ~meta:
+        (Printf.sprintf "%d pending unit(s), %d poison" (List.length pending)
+           (List.length c.poison))
+      path
+      {
+        k_fingerprint = fp;
+        k_pending = List.map (fun w -> (w.S.payload, w.S.attempts)) pending;
+        k_campaign = c;
+      }
   in
   let gen = Litmus_gen.config_args cfg.oracle.Fuzz.config in
   (* Global counters update at merge time — exactly once per seed across
      the campaign (failed attempts leave no result file; the oracle is
      deterministic, so a retry recomputes identical tallies). *)
   let merge u (a : acc) next =
-    g_programs := !g_programs + a.a_programs;
-    g_checks := !g_checks + a.a_checks;
-    g_disagreements := !g_disagreements + List.length a.a_disagreements;
-    g_sim_runs := !g_sim_runs + a.a_sim_runs;
-    g_sim_wedged := !g_sim_wedged + a.a_sim_wedged;
-    g_sim_skipped := !g_sim_skipped + a.a_sim_skipped;
-    g_states := !g_states + a.a_states;
-    u.u_acc <- acc_union u.u_acc a;
-    u.u_frontier <- next
+    c.total <- acc_union c.total a;
+    u.acc <- acc_union u.acc a;
+    u.frontier <- next
   in
-  (* Dossier for an oracle disagreement: minimize against the same
-     failing relation, then write the standard fuzz quarantine files. *)
-  let disagreement_dossier ~seed ~check ~detail =
+  (* A dossier: minimize against [pred], then write the standard fuzz
+     quarantine files. *)
+  let dossier seed ~check ~detail ~pred ~max_tests =
     let oracle = cfg.oracle in
     match oracle.Fuzz.quarantine with
     | None -> None
@@ -614,95 +449,64 @@ let run cfg ~lo ~hi =
         let minimal =
           if not oracle.Fuzz.shrink then None
           else
-            match Shrink.ddmin ~pred:(Fuzz.still_fails oracle ~check) prog with
+            match Shrink.ddmin ~max_tests ~pred prog with
             | m, _ -> Some m
             | exception Invalid_argument _ -> None
         in
         Fuzz.quarantine_seed ?minimal oracle ~seed ~prog ~check ~detail
   in
-  (* Dossier for a poison (hanging) seed: the shrink predicate is the
-     pure wedge rule for injected seeds, a forked timeout probe for
-     organic hangs (bounded — every hanging candidate costs a whole
-     hang budget). *)
+  (* A poison seed shrinks against the pure wedge rule when injected,
+     and against a forked timeout probe for organic hangs (bounded —
+     every hanging candidate costs a whole hang budget). *)
   let poison_dossier seed ~reason =
-    let oracle = cfg.oracle in
-    match oracle.Fuzz.quarantine with
-    | None -> None
-    | Some _ ->
-        let prog = Litmus_gen.generate ~config:oracle.Fuzz.config seed in
-        let minimal =
-          if not oracle.Fuzz.shrink then None
-          else
-            let injected = List.mem seed cfg.wedge_seeds in
-            let pred =
-              if injected then fun p ->
-                wedge_fires ~wedge_seeds:cfg.wedge_seeds ~seed p
-              else
-                hangs_in_fork ~oracle ~hang_timeout_s:cfg.hang_timeout_s
-            in
-            let max_tests = if injected then 2000 else 40 in
-            match Shrink.ddmin ~max_tests ~pred prog with
-            | m, _ -> Some m
-            | exception Invalid_argument _ -> None
-        in
-        Fuzz.quarantine_seed ?minimal oracle ~seed ~prog ~check:"fleet-hang"
-          ~detail:reason
+    let pred, max_tests =
+      if List.mem seed cfg.wedge_seeds then
+        (wedge_fires ~wedge_seeds:cfg.wedge_seeds ~seed, 2000)
+      else (hangs_in_fork ~oracle:cfg.oracle ~hang_timeout_s:cfg.hang_timeout_s, 40)
+    in
+    dossier seed ~check:"fleet-hang" ~detail:reason ~pred ~max_tests
   in
-  let finalize u ~ms =
-    incr units_done;
+  let finalize w ~ms =
+    let u = w.S.payload in
+    c.units_done <- c.units_done + 1;
     let key = ukey u in
-    List.iter
-      (fun (seed, check, detail) ->
-        let q = disagreement_dossier ~seed ~check ~detail in
-        cfg.log
-          (Printf.sprintf "DISAGREEMENT seed %d [%s]: %s%s" seed check detail
-             (match q with
-             | Some p -> " (quarantined: " ^ p ^ ")"
-             | None -> ""));
-        emit (disagreement_record ~key ~seed ~check ~detail ~ms))
-      (List.sort compare u.u_acc.a_disagreements);
-    emit (unit_record ~key ~gen u.u_acc ~attempts:(u.u_attempts + 1) ~ms);
+    let disagreements =
+      List.map
+        (fun (seed, check, detail) ->
+          let q =
+            dossier seed ~check ~detail ~max_tests:2000
+              ~pred:(Fuzz.still_fails cfg.oracle ~check)
+          in
+          cfg.log
+            (Printf.sprintf "DISAGREEMENT seed %d [%s]: %s%s" seed check detail
+               (match q with
+               | Some p -> " (quarantined: " ^ p ^ ")"
+               | None -> ""));
+          disagreement_record ~key ~seed ~check ~detail ~ms)
+        (List.sort compare u.acc.a_disagreements)
+    in
+    S.finish t w
+      (disagreements
+      @ [ unit_record ~key ~gen u.acc ~attempts:(w.S.attempts + 1) ~ms ]);
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "unit %s done: %d program(s), %d check(s)" key
-           u.u_acc.a_programs u.u_acc.a_checks);
-    save_ckpt ~force:false ()
+           u.acc.a_programs u.acc.a_checks)
   in
-  let poison_unit u ~reason ~ms =
-    let seed = u.u_lo in
+  let poison w ~reason ~ms =
+    let seed = w.S.payload.lo in
     let report = poison_dossier seed ~reason in
-    let p =
-      {
-        p_seed = seed;
-        p_reason = reason;
-        p_attempts = u.u_attempts;
-        p_report = report;
-      }
-    in
-    poisons := !poisons @ [ p ];
+    c.poison <-
+      c.poison
+      @ [ { p_seed = seed; p_reason = reason; p_attempts = w.S.attempts; p_report = report } ];
     cfg.log
       (Printf.sprintf "POISON seed %d after %d attempt(s): %s%s" seed
-         u.u_attempts reason
+         w.S.attempts reason
          (match report with
          | Some r -> " (dossier: " ^ r ^ ")"
          | None -> ""));
-    emit (poison_record ~key:(ukey u) ~seed ~reason ~attempts:u.u_attempts ~ms);
-    save_ckpt ~force:false ()
-  in
-  let backoff_of u =
-    float_of_int
-      (Batch.backoff_delay_ms ~base:cfg.backoff_ms ~attempt:u.u_attempts
-         ~job_id:u.u_lo)
-    /. 1000.
-  in
-  let requeue u ~reason now =
-    incr units_requeued;
-    u.u_eligible_at <- now +. backoff_of u;
-    delayed := !delayed @ [ u ];
-    if cfg.verbose then
-      cfg.log
-        (Printf.sprintf "retrying unit %s (attempt %d/%d: %s)" (ukey u)
-           (u.u_attempts + 1) cfg.retries reason)
+    S.finish t w
+      [ poison_record ~key:(ukey w.S.payload) ~seed ~reason ~attempts:w.S.attempts ~ms ]
   in
   (* Hang bisection.  The suspect seed (from the stale heartbeat) is cut
      out into its own single-seed unit carrying the hang strike; seeds
@@ -710,443 +514,113 @@ let run cfg ~lo ~hi =
      work.  [suspect_attempts] is the strike count the suspect inherits:
      hang strikes accumulate, a crash-exhausted split grants a fresh
      budget. *)
-  let bisect r ~suspect_attempts now =
-    let u = r.r_u in
+  let bisect w ~suspect_attempts ~ms =
+    let u = w.S.payload in
     let suspect =
-      match int_of_string_opt r.r_hb_content with
-      | Some s when s >= u.u_frontier && s <= u.u_hi -> s
-      | _ -> u.u_frontier
+      match int_of_string_opt w.S.beat with
+      | Some s when s >= u.frontier && s <= u.hi -> s
+      | _ -> u.frontier
     in
-    incr units_split;
+    c.units_split <- c.units_split + 1;
     cfg.log
       (Printf.sprintf
          "HANG unit %s: shard wedged on seed %d (heartbeat stale past %.1fs); \
           bisecting"
          (ukey u) suspect cfg.hang_timeout_s);
-    if suspect > u.u_lo then begin
-      let left =
-        {
-          u_lo = u.u_lo;
-          u_hi = suspect - 1;
-          u_frontier = u.u_frontier;
-          u_acc = u.u_acc;
-          u_attempts = 0;
-          u_eligible_at = 0.;
-        }
-      in
-      incr units_total;
-      if left.u_frontier > left.u_hi then
-        finalize left ~ms:((now -. r.r_started) *. 1000.)
-      else Queue.add left ready
+    if suspect > u.lo then begin
+      let left = span ~acc:u.acc ~frontier:u.frontier u.lo (suspect - 1) in
+      c.units_total <- c.units_total + 1;
+      if u.frontier > suspect - 1 then finalize left ~ms else S.enqueue t left
     end;
-    if suspect < u.u_hi then begin
-      incr units_total;
-      Queue.add
-        {
-          u_lo = suspect + 1;
-          u_hi = u.u_hi;
-          u_frontier = suspect + 1;
-          u_acc = acc_zero;
-          u_attempts = 0;
-          u_eligible_at = 0.;
-        }
-        ready
+    if suspect < u.hi then begin
+      c.units_total <- c.units_total + 1;
+      S.enqueue t (span (suspect + 1) u.hi)
     end;
-    let su =
-      {
-        u_lo = suspect;
-        u_hi = suspect;
-        u_frontier = suspect;
-        u_acc = acc_zero;
-        u_attempts = suspect_attempts;
-        u_eligible_at = 0.;
-      }
-    in
-    incr units_total;
-    if su.u_attempts >= cfg.retries then
-      poison_unit su ~reason:hang_reason ~ms:((now -. r.r_started) *. 1000.)
-    else begin
-      su.u_eligible_at <- now +. backoff_of su;
-      delayed := !delayed @ [ su ]
-    end
+    let su = span ~attempts:suspect_attempts suspect suspect in
+    c.units_total <- c.units_total + 1;
+    if suspect_attempts >= cfg.retries then poison su ~reason:hang_reason ~ms
+    else ignore (S.delay t su : int)
   in
-  let attempt_failed r ~reason now =
-    let u = r.r_u in
-    u.u_attempts <- u.u_attempts + 1;
-    if u.u_attempts < cfg.retries then requeue u ~reason now
-    else if u.u_lo = u.u_hi then
-      poison_unit u ~reason ~ms:((now -. r.r_started) *. 1000.)
+  let fail w reason ~ms =
+    if S.retry t w reason then c.units_requeued <- c.units_requeued + 1
+    else if w.S.payload.lo = w.S.payload.hi then poison w ~reason ~ms
+      else
+        (* Retries exhausted without a hang verdict: isolate the seed the
+           shard last heartbeat on, granting the suspect a fresh retry
+           budget (the deaths may have been transient). *)
+        bisect w ~suspect_attempts:0 ~ms
+  in
+  let start w =
+    let u = w.S.payload in
+    if u.frontier > u.hi then finalize w ~ms:0.
     else
-      (* Retries exhausted without a hang verdict: isolate the seed the
-         shard last heartbeat on, granting the suspect a fresh retry
-         budget (the deaths may have been transient). *)
-      bisect r ~suspect_attempts:0 now
+      S.spawn t w
+        (shard_body ~oracle:cfg.oracle ~wedge_seeds:cfg.wedge_seeds ~key:(ukey u)
+           ~frontier:u.frontier ~hi:u.hi)
   in
-  let handle_exit r status now =
-    let u = r.r_u in
-    let ms = (now -. r.r_started) *. 1000. in
-    match status with
-    | Unix.WEXITED 0 -> (
-        match read_unit_result r.r_result with
-        | Some (a, next) when next > u.u_hi ->
+  let on_exit w e ~ms =
+    let u = w.S.payload in
+    match e with
+    | S.Exit_ok -> (
+        match read_unit_result w.S.files.S.result with
+        | Some (a, next) when next > u.hi ->
             merge u a next;
-            finalize u ~ms
-        | Some _ ->
-            attempt_failed r ~reason:"shard exited 0 before finishing its unit"
-              now
-        | None ->
-            attempt_failed r
-              ~reason:"shard exited 0 but left no valid result file" now)
-    | Unix.WEXITED 9 ->
+            finalize w ~ms
+        | Some _ -> fail w "shard exited 0 before finishing its unit" ~ms
+        | None -> fail w "shard exited 0 but left no valid result file" ~ms)
+    | S.Exit_parked ->
         (* Drained at a seed boundary: merge the partial frontier and
            keep the unit pending — it lands in the checkpoint. *)
-        (match read_unit_result r.r_result with
-        | Some (a, next) -> merge u a next
-        | None -> ());
+        Option.iter (fun (a, next) -> merge u a next)
+          (read_unit_result w.S.files.S.result);
         if cfg.verbose then
-          cfg.log
-            (Printf.sprintf "unit %s drained at seed %d" (ukey u) u.u_frontier);
-        if u.u_frontier > u.u_hi then finalize u ~ms else Queue.add u ready
-    | Unix.WEXITED n ->
-        attempt_failed r ~reason:(Printf.sprintf "shard exited %d" n) now
-    | Unix.WSIGNALED _ when r.r_hang_killed ->
-        bisect r ~suspect_attempts:(u.u_attempts + 1) now
-    | Unix.WSIGNALED s ->
-        attempt_failed r
-          ~reason:("shard killed by " ^ Runner.signal_name s)
-          now
-    | Unix.WSTOPPED _ ->
-        (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        attempt_failed r ~reason:"shard stopped unexpectedly" now
+          cfg.log (Printf.sprintf "unit %s drained at seed %d" (ukey u) u.frontier);
+        if u.frontier > u.hi then finalize w ~ms else S.enqueue t w
+    | S.Exit_failed reason -> fail w reason ~ms
+    | S.Exit_hung -> bisect w ~suspect_attempts:(w.S.attempts + 1) ~ms
   in
-  let spawn u =
-    let key = ukey u in
-    let path ext = Filename.concat scratch (Printf.sprintf "u%s.%s" key ext) in
-    let rp = path "result" and hp = path "hb" and sp = path "stderr" in
-    (try Sys.remove rp with Sys_error _ -> ());
-    (try Sys.remove hp with Sys_error _ -> ());
-    let oracle = cfg.oracle and wedge_seeds = cfg.wedge_seeds in
-    let frontier = u.u_frontier and uhi = u.u_hi in
-    flush out_ch;
-    let pid =
-      Runner.fork_worker
-        (shard_body ~oracle ~wedge_seeds ~result:rp ~hb:hp ~stderr:sp
-           ~frontier ~hi:uhi ~key)
-    in
-    if cfg.verbose then
-      cfg.log
-        (Printf.sprintf "shard %d started unit %s at seed %d (attempt %d/%d)"
-           pid key frontier (u.u_attempts + 1) cfg.retries);
-    let now = Unix.gettimeofday () in
-    running :=
-      {
-        r_u = u;
-        r_pid = pid;
-        r_started = now;
-        r_result = rp;
-        r_hb = hp;
-        r_stderr = sp;
-        r_hb_content = "";
-        r_hb_at = now;
-        r_term_sent = false;
-        r_hang_killed = false;
-      }
-      :: !running
-  in
-  (* --- stats socket ----------------------------------------------------------- *)
-  let stats_json () =
-    let now = Unix.gettimeofday () in
-    let wall = now -. t0 in
+  let stats () =
+    let wall = Unix.gettimeofday () -. t0 in
+    let sg = S.running_gauge t in
     Printf.sprintf
       "{\"shards\":%d,\"shards_max\":%d,\"shards_mean\":%.1f,\"queue_depth\":%d,\"units_total\":%d,\"units_done\":%d,\"units_pending\":%d,\"units_requeued\":%d,\"units_split\":%d,\"poison\":%d,\"disagreements\":%d,\"seeds_done\":%d,\"seeds_total\":%d,\"seeds_per_sec\":%.1f,\"states_total\":%d,\"uptime_s\":%.1f,\"draining\":%b}"
-      (List.length !running)
-      (Obs.Gauge.max_level shards_gauge)
-      (Obs.Gauge.mean shards_gauge)
-      (Queue.length ready + List.length !delayed)
-      !units_total !units_done
-      (List.length (pending_units ()))
-      !units_requeued !units_split
-      (List.length !prior_poison + List.length !poisons)
-      !g_disagreements !g_programs
-      (hi - lo + 1)
+      (S.running_count t) (Obs.Gauge.max_level sg) (Obs.Gauge.mean sg)
+      (S.queue_depth t) c.units_total c.units_done (S.pending_count t)
+      c.units_requeued c.units_split (List.length c.poison)
+      (List.length c.total.a_disagreements)
+      c.total.a_programs (hi - lo + 1)
       (if wall > 0. then
-         float_of_int (!g_programs - run_base_programs) /. wall
+         float_of_int (c.total.a_programs - run_base_programs) /. wall
        else 0.)
-      !g_states wall !drain
+      c.total.a_states wall (S.draining t)
   in
-  let send c s = Buffer.add_string c.n_out (Wire.frame s) in
-  let close_conn c =
-    if not c.n_dead then begin
-      c.n_dead <- true;
-      try Unix.close c.n_fd with Unix.Unix_error _ -> ()
-    end
+  (* Budget exhaustion is a self-inflicted drain. *)
+  let should_drain () =
+    if Budget.over_deadline budget then Some "fleet deadline reached; draining"
+    else if Budget.over_memory budget ~bytes:(heap_bytes ()) then
+      Some "fleet memory budget reached; draining"
+    else None
   in
-  let handle_req c = function
-    | Wire.Hello v ->
-        if String.equal v Wire.greeting then begin
-          c.n_hello <- true;
-          send c
-            (Wire.ok
-               (Printf.sprintf "%s engine=%s" Wire.greeting
-                  Verdict_cache.engine_version))
-        end
-        else
-          send c
-            (Wire.err Wire.e_hello
-               (Printf.sprintf "unsupported version %S, this server speaks %s"
-                  v Wire.greeting))
-    | _ when not c.n_hello -> send c (Wire.err Wire.e_hello "say HELLO first")
-    | Wire.Stats -> send c (Wire.ok (stats_json ()))
-    | Wire.Ping -> send c (Wire.ok "pong")
-    | Wire.Drain ->
-        drain := true;
-        send c
-          (Wire.ok
-             (Printf.sprintf "draining pending=%d running=%d"
-                (Queue.length ready + List.length !delayed)
-                (List.length !running)))
-    | Wire.Bye ->
-        send c (Wire.ok "bye");
-        c.n_closing <- true
-    | Wire.Submit _ | Wire.Status _ | Wire.Result _ | Wire.Cancel _ ->
-        send c
-          (Wire.err Wire.e_unknown
-             "fleet stats endpoint serves STATS, PING, DRAIN and BYE")
-  in
-  let read_conn c =
-    match
-      let buf = Bytes.create 4096 in
-      let n = Unix.read c.n_fd buf 0 4096 in
-      if n = 0 then `Eof else `Data (Bytes.sub_string buf 0 n)
-    with
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error _ -> close_conn c
-    | `Eof -> close_conn c
-    | `Data data ->
-        Wire.feed c.n_dec data;
-        let rec pump () =
-          match Wire.next c.n_dec with
-          | Ok None -> ()
-          | Ok (Some payload) ->
-              (match Wire.parse_request payload with
-              | Ok req -> handle_req c req
-              | Error (code, msg) -> send c (Wire.err code msg));
-              if not c.n_closing then pump ()
-          | Error e ->
-              send c (Wire.err Wire.e_bad ("framing: " ^ e));
-              c.n_closing <- true
-        in
-        pump ()
-  in
-  let write_conn c =
-    let s = Buffer.contents c.n_out in
-    if String.length s > 0 then (
-      match Unix.write_substring c.n_fd s 0 (String.length s) with
-      | n ->
-          Buffer.clear c.n_out;
-          if n < String.length s then
-            Buffer.add_substring c.n_out s n (String.length s - n)
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error _ -> close_conn c);
-    if c.n_closing && (not c.n_dead) && Buffer.length c.n_out = 0 then
-      close_conn c
-  in
-  let accept_conns lfd =
-    let rec go () =
-      match Unix.accept lfd with
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          conns :=
-            {
-              n_fd = fd;
-              n_dec = Wire.decoder ();
-              n_out = Buffer.create 256;
-              n_hello = false;
-              n_closing = false;
-              n_dead = false;
-            }
-            :: !conns;
-          go ()
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    go ()
-  in
-  (* Idle wait doubles as the socket pump: with a stats socket the loop
-     sleeps inside select (responsive to clients), without one it just
-     sleeps. *)
-  let service_socket timeout =
-    match listen_fd with
-    | None -> if timeout > 0. then ( try Unix.sleepf timeout with Unix.Unix_error _ -> ())
-    | Some lfd -> (
-        let live = List.filter (fun c -> not c.n_dead) !conns in
-        let rfds = lfd :: List.map (fun c -> c.n_fd) live in
-        let wfds =
-          List.filter_map
-            (fun c -> if Buffer.length c.n_out > 0 then Some c.n_fd else None)
-            live
-        in
-        match Unix.select rfds wfds [] timeout with
-        | rs, ws, _ ->
-            if List.mem lfd rs then accept_conns lfd;
-            List.iter
-              (fun c ->
-                if (not c.n_dead) && List.mem c.n_fd rs then read_conn c)
-              live;
-            List.iter
-              (fun c ->
-                if
-                  (not c.n_dead)
-                  && (List.mem c.n_fd ws || Buffer.length c.n_out > 0)
-                then write_conn c)
-              live;
-            conns := List.filter (fun c -> not c.n_dead) !conns
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-  in
-  (* --- the event loop --------------------------------------------------------- *)
-  let drain_announced = ref false in
-  let finally () =
-    restore_signals ();
-    List.iter close_conn !conns;
-    (match listen_fd with
-    | Some fd -> (
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        match cfg.stats_socket with
-        | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-        | None -> ())
-    | None -> ());
-    close_out_ch ();
-    (match Sys.readdir scratch with
-    | files ->
-        Array.iter
-          (fun f ->
-            try Sys.remove (Filename.concat scratch f) with Sys_error _ -> ())
-          files;
-        (try Unix.rmdir scratch with Unix.Unix_error _ -> ())
-    | exception Sys_error _ -> ())
-  in
-  let continue () =
-    !running <> []
-    || ((not !drain) && ((not (Queue.is_empty ready)) || !delayed <> []))
-  in
-  (try
-     while continue () do
-       let now = Unix.gettimeofday () in
-       (* Budget exhaustion is a self-inflicted drain. *)
-       if not !drain then begin
-         if Budget.over_deadline budget then begin
-           drain := true;
-           cfg.log "fleet deadline reached; draining"
-         end
-         else if Budget.over_memory budget ~bytes:(heap_bytes ()) then begin
-           drain := true;
-           cfg.log "fleet memory budget reached; draining"
-         end
-       end;
-       (* Drain: forward SIGTERM once to every in-flight shard; shards
-          stop at the next seed boundary.  The watchdog below stays
-          armed — a wedged shard ignores SIGTERM and only SIGKILL (with
-          its deterministic bisection) resolves it. *)
-       if !drain then begin
-         if not !drain_announced then begin
-           drain_announced := true;
-           cfg.log
-             (Printf.sprintf "draining: %d shard(s) in flight, %d unit(s) queued"
-                (List.length !running)
-                (Queue.length ready + List.length !delayed))
-         end;
-         List.iter
-           (fun r ->
-             if not r.r_term_sent then begin
-               r.r_term_sent <- true;
-               try Unix.kill r.r_pid Sys.sigterm with Unix.Unix_error _ -> ()
-             end)
-           !running
-       end;
-       (* Watchdog: a heartbeat that has not advanced within the hang
-          budget convicts the shard's current seed. *)
-       List.iter
-         (fun r ->
-           if not r.r_hang_killed then begin
-             (match read_hb r.r_hb with
-             | Some c when not (String.equal c r.r_hb_content) ->
-                 r.r_hb_content <- c;
-                 r.r_hb_at <- now
-             | _ -> ());
-             if now -. r.r_hb_at > cfg.hang_timeout_s then begin
-               r.r_hang_killed <- true;
-               try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ()
-             end
-           end)
-         !running;
-       (* Reap. *)
-       let progressed = ref false in
-       let still = ref [] in
-       List.iter
-         (fun r ->
-           match Unix.waitpid [ Unix.WNOHANG ] r.r_pid with
-           | 0, _ -> still := r :: !still
-           | _, status ->
-               progressed := true;
-               handle_exit r status (Unix.gettimeofday ())
-           | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-               still := r :: !still)
-         !running;
-       running := !still;
-       (* Promote delayed units whose backoff expired. *)
-       let due, later =
-         List.partition (fun u -> u.u_eligible_at <= now) !delayed
-       in
-       delayed := later;
-       List.iter (fun u -> Queue.add u ready) due;
-       (* Dispatch. *)
-       while
-         (not !drain)
-         && List.length !running < cfg.shards
-         && not (Queue.is_empty ready)
-       do
-         progressed := true;
-         let u = Queue.pop ready in
-         if u.u_frontier > u.u_hi then finalize u ~ms:0. else spawn u
-       done;
-       Obs.Gauge.set shards_gauge (List.length !running);
-       Obs.Gauge.set queue_gauge (Queue.length ready + List.length !delayed);
-       save_ckpt ~force:false ();
-       service_socket (if !progressed then 0. else 0.02)
-     done;
-     save_ckpt ~force:true ()
-   with e ->
-     (try save_ckpt ~force:true () with _ -> ());
-     finally ();
-     raise e);
-  finally ();
-  let pending = Queue.length ready + List.length !delayed in
+  S.run t ~should_drain ?save:(Option.map save cfg.checkpoint) ~stats ~start
+    ~on_exit ();
+  let pending = S.pending_count t in
   {
-    f_units_total = !units_total;
-    f_units_done = !units_done;
-    f_units_requeued = !units_requeued;
-    f_units_split = !units_split;
+    f_units_total = c.units_total;
+    f_units_done = c.units_done;
+    f_units_requeued = c.units_requeued;
+    f_units_split = c.units_split;
     f_pending = pending;
-    f_programs = !g_programs;
-    f_checks = !g_checks;
-    f_disagreements = !g_disagreements;
-    f_sim_runs = !g_sim_runs;
-    f_sim_wedged = !g_sim_wedged;
-    f_sim_skipped = !g_sim_skipped;
-    f_states = !g_states;
-    f_poison = !poisons;
-    f_poison_total = List.length !prior_poison + List.length !poisons;
+    f_programs = c.total.a_programs;
+    f_checks = c.total.a_checks;
+    f_disagreements = List.length c.total.a_disagreements;
+    f_sim_runs = c.total.a_sim_runs;
+    f_sim_wedged = c.total.a_sim_wedged;
+    f_sim_skipped = c.total.a_sim_skipped;
+    f_states = c.total.a_states;
+    f_poison = List.filteri (fun i _ -> i >= prior_poison) c.poison;
+    f_poison_total = List.length c.poison;
     f_wall_s = Unix.gettimeofday () -. t0;
-    f_suspended = !drain && pending > 0;
+    f_suspended = S.draining t && pending > 0;
   }
 
 let pp_summary ppf s =

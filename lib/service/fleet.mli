@@ -6,14 +6,14 @@
     operators that SIGTERM the whole campaign and expect to resume it
     without losing or double-counting coverage.
 
-    {1 Supervision tree}
+    {1 Units}
 
-    The supervisor partitions the seed range into fixed-size {e work
-    units} and keeps at most [shards] workers in flight; each worker is
-    a fork running {!Fuzz.check_seed} over its unit's seeds, one at a
-    time, reporting progress through a per-spawn heartbeat file (the
-    seed it is about to check) and shipping its accumulated
-    {!Fuzz.seed_report} tallies back in a CRC-framed result file under
+    The fleet is the {!Supervisor} kernel fed from a seed range: it
+    partitions the range into fixed-size {e work units} and keeps at
+    most [shards] workers in flight; each worker checks its unit's
+    seeds one at a time with {!Fuzz.check_prog}, writing the seed it is
+    about to check to a heartbeat file the kernel's watchdog reads, and
+    ships its accumulated tallies back in a CRC-framed result file under
     the {!Runner} worker contract (exit [0] = unit complete, exit [9] =
     drained at a seed boundary with a partial result, exit [10] /
     signal = failed attempt).
@@ -41,7 +41,7 @@
     budget start a drain: shards get SIGTERM, stop at the next seed
     boundary and ship partial results; the supervisor merges each
     unit's [next_seed] frontier and accumulated tallies into a
-    CRC-validated [weakord.fleet] checkpoint and reports exit [3].
+    CRC-validated [weakord.fleet2] checkpoint and reports exit [3].
     [--resume] restores the pending units (frontiers included) after
     validating the campaign fingerprint, so an interrupted+resumed
     campaign emits {e record-identical} output (modulo the volatile
@@ -53,8 +53,9 @@
     Campaign gauges (live shards, unit queue, units done/requeued/
     split, poison and disagreement counts, seeds/sec) are kept in
     {!Obs.Gauge}s and served as one-line JSON over an optional Unix
-    socket speaking the daemon wire protocol's [STATS] verb, so an
-    operator can watch a nightly campaign with [weakord client]. *)
+    socket, through the kernel's connection pump that also serves the
+    daemon's clients, so an operator can watch a nightly campaign with
+    [weakord client]. *)
 
 type cfg = {
   oracle : Fuzz.cfg;

@@ -1,18 +1,7 @@
-(* The shared job-execution layer under both front ends of the service:
-   the one-shot [Batch] supervisor and the long-lived [Daemon].
-
-   Everything here is the per-attempt machinery: turning a job into a
-   program plus cache keys, forking the single-verdict worker process,
-   reading back its CRC-framed result file, and rendering the JSONL
-   records both front ends stream.  The scheduling policies (retry
-   queues, fairness, drain) stay with the callers. *)
-
-type exec = {
-  x_model : Worker.model;
-  x_fuel : int option;
-  x_spill_dir : string option;
-  x_mem_budget : int option;
-}
+(* The per-attempt layer under the [Supervisor] kernel: turning a job
+   into a program plus cache keys, the worker body one attempt runs,
+   the CRC-framed result-file protocol, and the JSONL records the front
+   ends stream.  Scheduling (queues, retries, drain) is the kernel's. *)
 
 type mat = {
   m_prog : (Prog.t * string * string) option;
@@ -64,19 +53,20 @@ let result_kind = "weakord.batch.result"
    parent accepts it only when the frame validates under that exact
    kind, so a torn write or a stale file of another kind degrades to a
    retried attempt, never a wrong result. *)
-let write_framed ~kind ~meta path payload =
+let write_framed ~kind ~meta path v =
   Atomic_io.write_file ~fsync:false path
-    (Snapshot.frame ~kind ~meta ~payload)
+    (Snapshot.frame ~kind ~meta ~payload:(Marshal.to_string v []))
 
 let read_framed ~kind path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> None
   | bytes -> (
       match Snapshot.unframe bytes with
-      | Error _ -> None
-      | Ok c ->
-          if String.equal c.Snapshot.kind kind then Some c.Snapshot.payload
-          else None)
+      | Ok c when String.equal c.Snapshot.kind kind -> (
+          match Marshal.from_string c.Snapshot.payload 0 with
+          | v -> Some v
+          | exception (Failure _ | Invalid_argument _) -> None)
+      | _ -> None)
 
 let redirect_stderr path =
   try
@@ -97,21 +87,17 @@ let fork_worker child =
       Unix._exit 0
   | pid -> pid
 
-(* Runs in the child.  Never returns; never flushes the parent's
-   buffered channels ([Unix._exit], not [exit]). *)
-let child_exec x ~result_path ~stderr_path (j : Job.t) mat =
-  let cancelled = ref false in
-  Sys.set_signal Sys.sigterm
-    (Sys.Signal_handle (fun _ -> cancelled := true));
-  Sys.set_signal Sys.sigint Sys.Signal_ignore;
-  redirect_stderr stderr_path;
+(* Runs in the child, after the supervisor redirected its stderr and
+   pointed SIGTERM at [cancelled].  Never returns; never flushes the
+   parent's buffered channels ([Unix._exit], not [exit]). *)
+let attempt ~model ?fuel ?spill_dir ?mem_budget ~cancelled ~result_path (j : Job.t) mat =
   match j.Job.source with
   | Job.Wedge ->
       (* The poison pill for chaos tests: announce, then spin until the
          supervisor's SIGKILL (timeout) or SIGTERM (drain) lands. *)
       prerr_string (Printf.sprintf "job %d: wedged on purpose\n" j.Job.id);
       flush Stdlib.stderr;
-      while not !cancelled do
+      while not (cancelled ()) do
         (try Unix.sleepf 0.02 with Unix.Unix_error _ -> ())
       done;
       Unix._exit 9
@@ -129,19 +115,15 @@ let child_exec x ~result_path ~stderr_path (j : Job.t) mat =
             (try Unix.mkdir sub 0o755
              with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
             sub)
-          x.x_spill_dir
+          spill_dir
       in
       match
-        Worker.run
-          ~cancel:(fun () -> !cancelled)
-          ?fuel:x.x_fuel ?spill_dir ?mem_budget:x.x_mem_budget
-          ~model:x.x_model ~machine prog
+        Worker.run ~cancel:cancelled ?fuel ?spill_dir ?mem_budget ~model
+          ~machine prog
       with
       | Ok v ->
-          write_framed ~kind:result_kind
-            ~meta:(string_of_int j.Job.id)
-            result_path
-            (Marshal.to_string v []);
+          write_framed ~kind:result_kind ~meta:(string_of_int j.Job.id) result_path
+            (v : Verdict_cache.verdict);
           Unix._exit 0
       | Error `Cancelled -> Unix._exit 9
       | exception e ->
@@ -149,34 +131,8 @@ let child_exec x ~result_path ~stderr_path (j : Job.t) mat =
           flush Stdlib.stderr;
           Unix._exit 10)
 
-let spawn x ~result_path ~stderr_path j mat =
-  (try Sys.remove result_path with Sys_error _ -> ());
-  fork_worker (fun () -> child_exec x ~result_path ~stderr_path j mat)
-
-let read_result path =
-  match read_framed ~kind:result_kind path with
-  | None -> None
-  | Some payload -> (
-      match (Marshal.from_string payload 0 : Verdict_cache.verdict) with
-      | v -> Some v
-      | exception (Failure _ | Invalid_argument _) -> None)
-
-let read_tail ?(max_bytes = 2048) path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> ""
-  | s ->
-      let s =
-        if String.length s <= max_bytes then s
-        else String.sub s (String.length s - max_bytes) max_bytes
-      in
-      String.trim s
-
-let signal_name = function
-  | s when s = Sys.sigkill -> "SIGKILL"
-  | s when s = Sys.sigterm -> "SIGTERM"
-  | s when s = Sys.sigsegv -> "SIGSEGV"
-  | s when s = Sys.sigabrt -> "SIGABRT"
-  | s -> Printf.sprintf "signal %d" s
+let read_result path : Verdict_cache.verdict option =
+  read_framed ~kind:result_kind path
 
 (* --- JSONL rendering --------------------------------------------------------- *)
 

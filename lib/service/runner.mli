@@ -1,47 +1,30 @@
-(** Shared job-execution machinery under the service front ends.
+(** The per-attempt layer under the {!Supervisor} kernel.
 
-    Both the one-shot {!Batch} supervisor and the long-lived {!Daemon}
-    schedule jobs, but neither verifies anything in-process: every
-    attempt runs in a forked worker that computes one verdict, installs
-    it atomically into a CRC-framed result file, and [_exit]s.  This
-    module is that per-attempt layer — materializing a {!Job.t} into a
-    program plus cache keys, forking the worker, reading its result
-    back, and rendering the JSONL records both front ends stream — so
-    the two supervisors cannot drift apart on exit-status conventions
-    or record shapes.
-
-    Scheduling policy (retry queues, backoff, fairness, drain) stays
-    with the callers; nothing here blocks or loops.
+    None of [weakord batch], [serve] or [fleet] verifies anything
+    in-process: every attempt at a unit of work runs in a worker forked
+    by the kernel, which computes its result, installs it atomically
+    into a CRC-framed result file, and [_exit]s.  This module holds what
+    one attempt needs — materializing a {!Job.t} into a program plus
+    cache keys, the verdict worker's body, the result-file protocol,
+    and the JSONL records the front ends stream — so the kernel and its
+    three front ends cannot drift apart on exit statuses or record
+    shapes.  Nothing here blocks, loops or schedules.
 
     {1 Worker exit-status contract}
 
-    A forked worker terminates in exactly one of these ways, and both
-    supervisors classify them identically:
+    A forked worker terminates in exactly one of these ways, and the
+    kernel classifies them once for every front end:
 
-    - exit [0] and a valid result file — a verdict; the supervisor
-      caches and streams it.
+    - exit [0] and a valid result file — the attempt's result (a
+      verdict, or a fleet shard's unit tallies).
     - exit [0] with a missing or corrupt result file — a torn write;
       counts as a failed attempt.
-    - exit [9] — cancelled at a safe point (drain); the job is {e not}
-      failed, it returns to the pending queue for the resume.
+    - exit [9] — cancelled at a safe point (drain); the unit is {e not}
+      failed, it returns to its queue for the resume.
     - exit [10] — the verification engine raised; the exception text is
       on stderr.  Failed attempt.
-    - killed by a signal — [SIGKILL] from the supervisor's timeout, or
+    - killed by a signal — [SIGKILL] from the kernel's watchdog, or
       anything else (OOM killer, crash).  Failed attempt. *)
-
-(** {1 Execution parameters} *)
-
-type exec = {
-  x_model : Worker.model;  (** synchronization model checked per job *)
-  x_fuel : int option;  (** optional exploration fuel bound *)
-  x_spill_dir : string option;
-      (** root for disk-spilled visited stores; each attempt gets a
-          private [jobN/] subdirectory so concurrent workers and
-          retries never share run files *)
-  x_mem_budget : int option;  (** visited-set memory budget, bytes *)
-}
-(** What a worker needs beyond the job itself.  One value is built per
-    supervisor run and shared by every spawn. *)
 
 (** {1 Materialization} *)
 
@@ -69,49 +52,46 @@ val fork_worker : (unit -> unit) -> int
 (** [fork_worker child] flushes the parent's [stdout]/[stderr] (so
     buffered bytes are not emitted twice), forks, runs [child] in the
     child process and [_exit 0]s if it returns; the parent gets the
-    pid.  The generic fork under {!spawn} and the fleet's shard
-    workers — any [child] must honor the exit-status contract above. *)
+    pid.  The one fork under every kernel attempt and the fleet's hang
+    probe — any [child] must honor the exit-status contract above. *)
 
 val redirect_stderr : string -> unit
 (** Point the process's [stderr] at a capture file (truncating);
     best-effort, for use inside forked workers before any output. *)
 
-val write_framed : kind:string -> meta:string -> string -> string -> unit
-(** [write_framed ~kind ~meta path payload] atomically installs a
+val write_framed : kind:string -> meta:string -> string -> 'a -> unit
+(** [write_framed ~kind ~meta path v] atomically installs [v] as a
     CRC-framed result file — the child half of the result-file
     protocol.  No [fsync] (a torn write is detected, not prevented). *)
 
-val read_framed : kind:string -> string -> string option
-(** [read_framed ~kind path] loads a result file and returns its
-    payload only when the CRC validates and the snapshot kind matches
-    [kind] exactly; [None] on any defect.  The parent half of the
+val read_framed : kind:string -> string -> 'a option
+(** [read_framed ~kind path] loads a result file written under [kind]
+    (the caller names the type); [None] on any defect — missing file,
+    CRC mismatch, another kind, truncation — so a torn write degrades
+    to a retried attempt, never a wrong result.  The parent half of the
     result-file protocol. *)
 
-val spawn : exec -> result_path:string -> stderr_path:string -> Job.t -> mat -> int
-(** [spawn x ~result_path ~stderr_path j m] forks a worker for one
-    attempt at [j] and returns its pid.  The child redirects stderr to
-    [stderr_path], runs {!Worker.run} (or the wedge spin loop for
-    {!Job.Wedge} jobs), writes its verdict to [result_path] via an
-    atomic install, and terminates per the exit-status contract above.
-    Any stale [result_path] is removed before the fork, and the
-    parent's [stdout]/[stderr] channels are flushed so buffered bytes
-    are not emitted twice; callers streaming to other channels must
-    flush those themselves first. *)
+val attempt :
+  model:Worker.model ->
+  ?fuel:int ->
+  ?spill_dir:string ->
+  ?mem_budget:int ->
+  cancelled:(unit -> bool) ->
+  result_path:string ->
+  Job.t ->
+  mat ->
+  unit
+(** [attempt ~model ~cancelled ~result_path j m] is the body of one
+    verdict attempt, run in a worker the kernel forked (stderr already
+    captured, SIGTERM already pointed at [cancelled]): {!Worker.run}
+    (or the wedge spin loop for {!Job.Wedge} jobs), the verdict written
+    to [result_path] via an atomic install, and termination per the
+    exit-status contract above.  Never returns.  [spill_dir] is a root:
+    each job spills into a private [jobN/] subdirectory, so concurrent
+    workers and retries never share run files. *)
 
 val read_result : string -> Verdict_cache.verdict option
-(** [read_result path] loads and validates a worker's result file.
-    [None] on any defect — missing file, CRC mismatch, wrong snapshot
-    kind, truncation — so a torn write degrades to a retried attempt,
-    never a wrong verdict. *)
-
-val read_tail : ?max_bytes:int -> string -> string
-(** [read_tail path] returns the trimmed last [max_bytes] (default
-    2048) of a worker's captured stderr, for quarantine diagnostics.
-    [""] if the file is missing. *)
-
-val signal_name : int -> string
-(** [signal_name s] renders an OCaml signal number ([Sys.sigkill] etc.)
-    as its conventional name, for diagnostics. *)
+(** {!read_framed} for a verdict worker's result file. *)
 
 (** {1 JSONL rendering}
 

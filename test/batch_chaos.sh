@@ -10,7 +10,8 @@
 #     fields (cached/attempts/ms);
 #   - serve >=95% of a second identical run from the persistent verdict
 #     cache;
-#   - reject a resume against an edited job file (exit 2).
+#   - reject a resume against an edited job file (exit 2);
+#   - drain a 30000-job checkpointed batch at its deadline and resume it.
 set -u
 
 WEAKORD="$1"
@@ -125,6 +126,12 @@ fi
 if ! diff <(norm "$tmp/ref.jsonl") <(norm "$tmp/drain.jsonl"); then
   fail "drain + resume diverged from the uninterrupted run"
 fi
+# the resumed summary counts the interrupted run's verdicts too
+summary="$(grep -o '[0-9]* finished ([0-9]* ok, [0-9]* violation' "$tmp/resume.err")"
+read -r finished ok viol <<< "$(echo "$summary" | grep -o '[0-9]*' | tr '\n' ' ')"
+if [ -z "$summary" ] || [ $((ok + viol)) -ne "$finished" ]; then
+  fail "resumed summary: ok + violations != finished ($summary)"
+fi
 
 # a resume against an edited job list must be rejected loudly
 echo "test dekker" >> "$tmp/jobs.txt"
@@ -173,6 +180,34 @@ if [ -s "$tmp/verdicts.wovc" ]; then
   if ! diff -q <(norm "$tmp/ref.jsonl") <(norm "$tmp/corrupt.jsonl") >/dev/null; then
     fail "corrupted cache changed the batch result set"
   fi
+fi
+
+# --- 5. a checkpoint costs one pass over the pending jobs --------------------
+# 30000 jobs with a wedge that outlives the deadline: the batch must
+# drain at its deadline (exit 3) instead of spending minutes in
+# checkpoint writes, and the resume must finish what is left.  The
+# generator options keep the programs tiny, so the verdict cache answers
+# almost every job without a fork.  A blow-up bound, not a timing gate.
+{
+  echo "wedge"
+  echo "seeds 0..29999 threads=2 instrs=1 locs=1 sync-locs=1"
+} > "$tmp/big.txt"
+timeout 60 "$WEAKORD" batch "$tmp/big.txt" --workers 2 --timeout 30 \
+  --retries 1 --deadline 2 --checkpoint "$tmp/big.ckpt" -o "$tmp/big.jsonl" \
+  2> "$tmp/big.err"
+code=$?
+if [ "$code" -ne 3 ]; then
+  fail "30000-job batch with --checkpoint --deadline 2: expected exit 3, got $code"
+fi
+timeout 60 "$WEAKORD" batch "$tmp/big.txt" --workers 2 --timeout 0.5 \
+  --retries 1 --checkpoint "$tmp/big.ckpt" --resume "$tmp/big.ckpt" \
+  -o "$tmp/big.jsonl" 2> "$tmp/big-resume.err"
+code=$?
+if [ "$code" -ne 4 ]; then
+  fail "resumed 30000-job batch: expected exit 4, got $code"
+fi
+if [ "$(wc -l < "$tmp/big.jsonl")" -ne 30001 ]; then
+  fail "drain + resume of 30001 jobs left $(wc -l < "$tmp/big.jsonl") record(s)"
 fi
 
 if [ "$fails" -ne 0 ]; then

@@ -1,6 +1,10 @@
+(* The service suite runs first: its supervisor-kernel cases fork, and
+   OCaml 5 refuses [Unix.fork] once any domain has been spawned, which
+   later suites do. *)
 let () =
   Alcotest.run "weakord"
     [
+      Test_service.suite;
       Test_relation.suite;
       Test_program.suite;
       Test_litmus.suite;
@@ -21,5 +25,4 @@ let () =
       Test_core.suite;
       Test_resilience.suite;
       Test_sym.suite;
-      Test_service.suite;
     ]

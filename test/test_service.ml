@@ -1,9 +1,10 @@
-(* The batch verification service's in-process pieces: the job-file
-   parser, the CRC-validated verdict cache, the deterministic retry
-   backoff, and the worker's verdict computation.  The process-level
-   machinery (forked workers, SIGKILL, drain/resume) is exercised by
-   test/batch_chaos.sh against the real binary — forking is not safe
-   in-process here, where earlier suites have already spawned domains. *)
+(* The service's in-process pieces: the job-file parser, the
+   CRC-validated verdict cache, the supervisor kernel (deterministic
+   backoff, exit classification, retry/quarantine, round-robin owners),
+   and the worker's verdict computation.  The kernel cases fork, so this
+   suite must run before any suite that spawns a domain (see main.ml).
+   Drain/resume and the front ends end to end are exercised by the chaos
+   scripts against the real binary. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -211,10 +212,12 @@ let test_cache_torn_tail () =
   Verdict_cache.close c2;
   Sys.remove path
 
-(* --- retry backoff ----------------------------------------------------------- *)
+(* --- supervisor kernel ---------------------------------------------------------- *)
+
+module S = Supervisor
 
 let test_backoff () =
-  let d ~attempt ~job_id = Batch.backoff_delay_ms ~base:100 ~attempt ~job_id in
+  let d ~attempt ~job_id = S.backoff_delay_ms ~base:100 ~attempt ~job_id in
   check_int "deterministic" (d ~attempt:1 ~job_id:7) (d ~attempt:1 ~job_id:7);
   (* Exponential envelope: base * 2^(attempt-1) <= delay < that + base. *)
   List.iter
@@ -228,7 +231,98 @@ let test_backoff () =
   check "jitter varies across jobs" true
     (List.exists (fun v -> v <> List.hd delays) delays);
   check_int "zero base is immediate" 0
-    (Batch.backoff_delay_ms ~base:0 ~attempt:3 ~job_id:1)
+    (S.backoff_delay_ms ~base:0 ~attempt:3 ~job_id:1)
+
+let kernel ?(slots = 2) ~log () =
+  S.create
+    (Batch.job_cfg ~workers:slots ~retries:2 ~backoff_ms:20
+       ~timeout_s:0.3 ~resident:false ~out:S.Discard ~listen:None ~max_clients:0
+       ~log ~verbose:true)
+
+(* Children that exit 0 without a result file, exit 9, exit 10, or hang
+   past the watchdog, run through the verdict policy batch and serve
+   share: exit 9 parks without an attempt; the rest are failed attempts
+   retried after [backoff_delay_ms] and quarantined with the reasons the
+   JSONL carries once attempts reach [retries]. *)
+let test_kernel_exits () =
+  let logs = ref [] in
+  let t = kernel ~log:(fun l -> logs := l :: !logs) () in
+  let job id = { Job.id; source = Job.Wedge; machine = "def2" } in
+  List.iter
+    (fun id -> S.enqueue t (Batch.job_work ~owner:(-1) ~model:Worker.Drf0 (job id)))
+    [ 0; 1; 2; 3 ];
+  let settled = ref [] and parked = ref [] in
+  let _, on_exit =
+    Batch.verdicts t ~cache:(Verdict_cache.in_memory ())
+      ~attempt:(fun ~cancelled:_ ~result_path:_ _ _ -> assert false)
+      (Batch.tally ())
+      ~settled:(fun w v r ->
+        check "quarantine, not a verdict" true (v = None);
+        settled := (w.S.id, w.S.attempts, r) :: !settled)
+      ~parked:(fun w -> parked := (w.S.id, w.S.attempts) :: !parked)
+  in
+  let start w =
+    match w.S.payload.Batch.job.Job.id with
+    | 0 | 1 | 2 ->
+        let code = [| 0; 9; 10 |].(w.S.id) in
+        S.spawn t w (fun _ _ -> Unix._exit code)
+    | _ ->
+        S.spawn t w (fun _ _ ->
+            while true do
+              try Unix.sleepf 0.01 with Unix.Unix_error _ -> ()
+            done)
+  in
+  S.run t ~start ~on_exit ();
+  Alcotest.(check (list (pair int int))) "exit 9 parked, no attempt counted"
+    [ (1, 0) ] !parked;
+  let reason id =
+    match List.find_opt (fun (i, _, _) -> i = id) !settled with
+    | Some (_, attempts, r) ->
+        check_int "quarantined when attempts reach retries" 2 attempts;
+        r
+    | None -> Alcotest.failf "job %d was not quarantined" id
+  in
+  List.iter
+    (fun (id, want) ->
+      check ("reason of job " ^ string_of_int id) true
+        (contains ~sub:(Printf.sprintf "\"reason\":\"%s\"" want) (reason id)))
+    [
+      (0, "worker exited 0 but left no valid result file");
+      (2, "worker exited 10");
+      (3, "timeout: SIGKILL after 0.3s");
+    ];
+  check_int "one record per failing job" 3 (List.length !settled);
+  List.iter
+    (fun id ->
+      let d = S.backoff_delay_ms ~base:20 ~attempt:1 ~job_id:id in
+      check
+        (Printf.sprintf "job %d retried after its backoff" id)
+        true
+        (List.exists
+           (fun l ->
+             contains ~sub:(Printf.sprintf "retrying job %d: " id) l
+             && contains ~sub:(Printf.sprintf " in %d ms (attempt 2/2" d) l)
+           !logs))
+    [ 0; 2; 3 ]
+
+let test_kernel_round_robin () =
+  let t = kernel ~slots:1 ~log:ignore () in
+  let order = ref [] in
+  List.iter
+    (fun (owner, id) ->
+      S.enqueue t
+        (Batch.job_work ~owner ~model:Worker.Drf0
+           { Job.id; source = Job.Wedge; machine = "def2" }))
+    [ (-1, 0); (-1, 1); (-1, 2); (5, 10); (5, 11); (6, 20) ];
+  S.run t
+    ~start:(fun w ->
+      order := w.S.id :: !order;
+      S.finish t w [])
+    ~on_exit:(fun _ _ ~ms:_ -> Alcotest.fail "nothing was spawned")
+    ();
+  Alcotest.(check (list int))
+    "owners served in turn" [ 0; 10; 20; 1; 11; 2 ] (List.rev !order);
+  check_int "nothing pending" 0 (S.pending_count t)
 
 (* --- worker ------------------------------------------------------------------ *)
 
@@ -533,6 +627,10 @@ let suite =
       Alcotest.test_case "torn tail skipped" `Quick test_cache_torn_tail;
       Alcotest.test_case "backoff is deterministic and bounded" `Quick
         test_backoff;
+      Alcotest.test_case "kernel: exits parked, retried, quarantined" `Quick
+        test_kernel_exits;
+      Alcotest.test_case "kernel: owners served round-robin" `Quick
+        test_kernel_round_robin;
       Alcotest.test_case "worker verdict on a racing program" `Quick
         test_worker_verdict;
       Alcotest.test_case "worker honors the cancel hook" `Quick
