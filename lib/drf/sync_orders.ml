@@ -45,12 +45,7 @@ let empty_tuple sync_locs = List.map (fun l -> (l, [])) sync_locs
 let prepend loc e tuple =
   List.map (fun (l, es) -> if String.equal l loc then (l, e :: es) else (l, es)) tuple
 
-module Memo = Hashtbl.Make (struct
-  type t = Sem.key
-
-  let hash = Sem.key_hash
-  let equal = Sem.key_equal
-end)
+module Memo = Hashtbl.Make (String)
 
 (* The thread whose next instruction the search fires alone at [st], if
    any (rules (a) and (b) above). *)
@@ -91,9 +86,10 @@ let feasible prog =
     Array.init (Prog.num_threads prog) (fun p ->
         Array.of_list (Evts.by_proc evts p))
   in
+  let layout = Sem.layout prog in
   let memo : Tuple_set.t Memo.t = Memo.create 512 in
   let rec explore state =
-    let key = Sem.key_of_state state in
+    let key = Sem.key layout state in
     match Memo.find_opt memo key with
     | Some res -> res
     | None ->

@@ -9,12 +9,7 @@
    intended for litmus-sized programs and for cross-checking smarter
    analyses). *)
 
-module K = Hashtbl.Make (struct
-  type t = Sem.key
-
-  let hash = Sem.key_hash
-  let equal = Sem.key_equal
-end)
+module K = Hashtbl.Make (String)
 
 (* --- partial-order reduction ------------------------------------------------
 
@@ -87,27 +82,14 @@ let por_candidate (info : Por_static.t) st =
 (* --- symmetry reduction -----------------------------------------------------
 
    Probe the visited table with the least key in the state's orbit under
-   the program's automorphism group, and close recorded outcomes under
-   the group at record time.  Sound because every automorphism fixes the
-   initial state and maps steps to steps and finals to finals (see
-   {!Sym}): a state whose orbit representative was already expanded has
-   exactly the image outcomes of the expanded one, and those are in the
-   accumulator by closure.  The argument composes with the partial-order
-   reduction above by induction on the (acyclic) SC graph. *)
-
-let permute_key pi ((next, mem, regs) : Sem.key) : Sem.key =
-  ( Sym.permute_procs pi (fun _ n -> n) next,
-    Sym.rename_bindings pi mem,
-    Sym.permute_procs pi
-      (fun p rb -> Sym.rename_reg_bindings pi ~proc:p rb)
-      regs )
-
-let orbit_min perms (k : Sem.key) =
-  List.fold_left
-    (fun m pi ->
-      let k' = permute_key pi k in
-      if compare k' m < 0 then k' else m)
-    k perms
+   the program's automorphism group ({!Sym.orbit_min}), and close
+   recorded outcomes under the group at record time.  Sound because every
+   automorphism fixes the initial state and maps steps to steps and
+   finals to finals (see {!Sym}): a state whose orbit representative was
+   already expanded has exactly the image outcomes of the expanded one,
+   and those are in the accumulator by closure.  The argument composes
+   with the partial-order reduction above by induction on the (acyclic)
+   SC graph. *)
 
 (* --- outcome enumeration ---------------------------------------------------- *)
 
@@ -122,7 +104,10 @@ type por_stats = { por_taken : int; por_declined : int }
    a sound subset of the complete one (exploration only cuts branches). *)
 let explore_budgeted ?(reduce = true) ?(sym = false) ?budget prog =
   let info = if reduce then Some (Por_static.cached prog) else None in
-  let perms = if sym then (Sym.cached prog).Sym.perms else [] in
+  let group = if sym then Sym.cached prog else Sym.trivial in
+  let perms = group.Sym.perms in
+  let layout = Sem.layout prog in
+  let maps = Sym.compile layout group in
   let visited : unit K.t = K.create 1024 in
   let acc = ref Final.Set.empty in
   let taken = ref 0 in
@@ -152,7 +137,7 @@ let explore_budgeted ?(reduce = true) ?(sym = false) ?budget prog =
         end
         else begin
         stack := rest;
-        let k = orbit_min perms (Sem.key_of_state st) in
+        let k = Sym.orbit_min maps (Sem.key layout st) in
         if not (K.mem visited k) then begin
           K.add visited k ();
           if Sem.all_done prog st then begin

@@ -76,15 +76,19 @@ let final_of_state state =
   Final.make ~memory:state.memory
     ~regs:(Array.map (fun ts -> ts.regs) state.threads)
 
-(* A canonical, structurally-comparable key for memoization. *)
-type key = int array * (string * int) list * (string * int) list array
+(* Packed keys for memoization: memory, then each thread's program counter
+   and registers (see {!Layout}). *)
+let shape =
+  { Layout.counters = 1; mask = false; buffer = None; reservations = false }
 
-let key_of_state state : key =
-  ( Array.map (fun ts -> ts.next) state.threads,
-    Smap.bindings state.memory,
-    Array.map (fun ts -> Smap.bindings ts.regs) state.threads )
+let layout prog = Layout.cached prog shape
 
-(* [Hashtbl.hash]'s default 10-meaningful-node cap collides on states that
-   differ only deep in a register file; widen the traversal. *)
-let key_hash (k : key) = Hashtbl.hash_param 128 256 k
-let key_equal (a : key) (b : key) = a = b
+let key l state =
+  let b = Layout.create l in
+  Layout.set_memory l b state.memory;
+  Array.iteri
+    (fun p ts ->
+      Layout.set_counter l b p 0 ts.next;
+      Layout.set_regs l b p ts.regs)
+    state.threads;
+  Layout.key b

@@ -20,12 +20,10 @@ val step : Prog.t -> state -> int -> state option
 
 val final_of_state : state -> Final.t
 
-type key = int array * (string * int) list * (string * int) list array
+val layout : Prog.t -> Layout.t
+(** The packed-key layout of the program's SC states (memory, then each
+    thread's program counter and registers), memoized. *)
 
-val key_of_state : state -> key
-(** Canonical structural key for memoizing state exploration. *)
-
-val key_hash : key -> int
-val key_equal : key -> key -> bool
-(** Hash/equality for {!key}, suitable for [Hashtbl.Make] — structural, no
-    marshalling. *)
+val key : Layout.t -> state -> string
+(** The state's packed key under [layout prog]: equal keys mean equal
+    states, and the key order is [String.compare]. *)

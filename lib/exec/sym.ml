@@ -53,20 +53,6 @@ let proc pi p = pi.p_proc.(p)
 let rename_loc pi l = assoc_default l pi.p_loc
 let rename_reg pi ~proc:p r = assoc_default r pi.p_reg.(p)
 
-let permute_procs pi f a =
-  let n = Array.length a in
-  let out = Array.make n a.(0) in
-  for p = 0 to n - 1 do
-    out.(pi.p_proc.(p)) <- f p a.(p)
-  done;
-  out
-
-let rename_bindings pi l =
-  List.sort compare (List.map (fun (loc, v) -> (rename_loc pi loc, v)) l)
-
-let rename_reg_bindings pi ~proc:p l =
-  List.sort compare (List.map (fun (r, v) -> (rename_reg pi ~proc:p r, v)) l)
-
 let apply_final pi (f : Final.t) =
   let memory =
     Smap.fold
@@ -82,6 +68,60 @@ let apply_final pi (f : Final.t) =
           Smap.empty)
     f.Final.regs;
   Final.make ~memory ~regs
+
+(* --- acting on packed keys ----------------------------------------------
+
+   Compiled against a layout, an automorphism is a byte gather (plus the
+   location relabeling of buffer entries): [canon (sigma st)] is exactly
+   [permute (compile_one sigma) (canon st)], because the layout places
+   every component at an offset that depends only on its processor,
+   register or location index. *)
+
+let compile_one layout pi =
+  Layout.index_map layout ~proc:(proc pi) ~loc:(rename_loc pi)
+    ~reg:(fun p r -> rename_reg pi ~proc:p r)
+
+let compile layout g = Array.of_list (List.map (compile_one layout) g.perms)
+
+let check_length (m : Layout.map) k =
+  if String.length k <> Array.length m.Layout.src then
+    invalid_arg "Sym: key length does not match the compiled layout"
+
+let permute (m : Layout.map) k =
+  check_length m k;
+  let src = m.Layout.src and tables = m.Layout.tables in
+  let b = Bytes.create (String.length k) in
+  for i = 0 to Bytes.length b - 1 do
+    Bytes.unsafe_set b i
+      (String.unsafe_get (Array.unsafe_get tables i)
+         (Char.code (String.unsafe_get k (Array.unsafe_get src i))))
+  done;
+  Bytes.unsafe_to_string b
+
+(* The least key of [k]'s orbit.  Each image is compared against the
+   current minimum byte by byte as it is gathered, and only built when it
+   wins — most images lose within the first few bytes, so the common case
+   allocates nothing.  Returns [k] itself (physically) when no image is
+   smaller, which engines count as "no orbit hit". *)
+let orbit_min maps k =
+  let best = ref k in
+  for j = 0 to Array.length maps - 1 do
+    let m = maps.(j) in
+    check_length m k;
+    let src = m.Layout.src and tables = m.Layout.tables and cur = !best in
+    let n = String.length k in
+    let i = ref 0 and c = ref 0 in
+    while !c = 0 && !i < n do
+      c :=
+        Char.code
+          (String.unsafe_get (Array.unsafe_get tables !i)
+             (Char.code (String.unsafe_get k (Array.unsafe_get src !i))))
+        - Char.code (String.unsafe_get cur !i);
+      incr i
+    done;
+    if !c < 0 then best := permute m k
+  done;
+  !best
 
 (* --- discovery ------------------------------------------------------------- *)
 

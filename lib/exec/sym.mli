@@ -47,32 +47,25 @@ val cached : Prog.t -> t
 (** {!of_prog} memoized process-wide on physical program identity.
     Thread-safe (racing domains at worst recompute the immutable group). *)
 
-(** {2 Applying a permutation}
-
-    Helpers the machines' [permute] implementations are built from.  All
-    renamings default to the identity outside the recorded bijections, so
-    callers need not special-case untouched names. *)
-
-val proc : perm -> int -> int
-(** The image of a processor index. *)
-
-val rename_loc : perm -> string -> string
-val rename_reg : perm -> proc:int -> string -> string
-
-val permute_procs : perm -> (int -> 'a -> 'a) -> 'a array -> 'a array
-(** [permute_procs pi f a] is the array [out] with
-    [out.(proc pi p) = f p a.(p)] — the per-processor component move
-    every machine key shares.  [a] must be non-empty. *)
-
-val rename_bindings : perm -> (string * int) list -> (string * int) list
-(** Rename the keys of a sorted location-binding list and re-sort (the
-    renaming does not preserve [Smap.bindings] order). *)
-
-val rename_reg_bindings :
-  perm -> proc:int -> (string * int) list -> (string * int) list
-(** Same for a processor's register-binding list. *)
-
 val apply_final : perm -> Final.t -> Final.t
 (** The image of an outcome: memory relocated, register files moved to
-    the image processor and renamed.  Used to close recorded outcome sets
+    the image processor and renamed (names outside the recorded
+    bijections map to themselves).  Used to close recorded outcome sets
     under the group. *)
+
+(** {2 Acting on packed keys} *)
+
+val compile : Layout.t -> t -> Layout.map array
+(** Every non-identity automorphism of the group as a byte map over the
+    layout's keys ({!Layout.index_map}).  For the state map [sigma] an
+    automorphism induces, [canon (sigma st) = permute m (canon st)]: the
+    equation orbit pruning rests on. *)
+
+val permute : Layout.map -> string -> string
+(** The image of a key. *)
+
+val orbit_min : Layout.map array -> string -> string
+(** The least key ([String.compare]) of the key's orbit under the
+    compiled group: constant on orbits, so the transposition table can
+    identify a state with all its symmetric images.  Physically equal to
+    the argument when no image is smaller. *)

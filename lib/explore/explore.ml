@@ -2,10 +2,11 @@
 
    The engine computes the complete set of outcomes a machine allows for a
    program as the union of [M.final] over every reachable state — a
-   reachability sweep with a hash-consed transposition table, not a
-   per-state memoized fold.  Two execution strategies share that shape:
+   reachability sweep with a transposition table of packed state keys
+   (see {!Layout}), not a per-state memoized fold.  Two execution
+   strategies share that shape:
 
-   - sequential: an explicit-stack DFS with a single interner; and
+   - sequential: an explicit-stack DFS with a single table; and
    - parallel ([~domains:n], n > 1): a frontier-based sweep over [n]
      domains with a sharded claim table and a shared overflow queue.
 
@@ -194,6 +195,11 @@ exception Resume_rejected of string
    sensible domain count keeps lock contention negligible. *)
 let n_shards = 64
 
+(* Initial bucket counts: the sequential table (and the spill store's hot
+   tier, created the same size) and each parallel shard. *)
+let table_buckets = 4096
+let shard_buckets = 1024
+
 (* Reduction is pure overhead on programs whose state space fits in a few
    thousand states: the oracle tests cost more than the states they save.
    Every built-in corpus program is under this bar; [big3]-sized programs
@@ -207,26 +213,26 @@ let por_min_instrs_default = 11
 let spill_threshold_default = 2000
 
 module Make (M : Machine_sig.MACHINE) = struct
-  (* Keys are hashed once, when first canonicalized; the table, the
-     shard selector and the Bloom filter all reuse the cached hash, and
-     equality fast-fails on it. *)
-  type hkey = { kh : int; kk : M.key }
+  (* Keys are packed strings (see {!Layout}): the table, the shard
+     selector, the Bloom filter and the spill store hash and compare their
+     bytes directly. *)
+  module H = Hashtbl.Make (String)
 
-  module H = Hashtbl.Make (struct
-    type t = hkey
-
-    let hash k = k.kh
-    let equal a b = a.kh = b.kh && M.equal a.kk b.kk
-  end)
-
-  let hkey k = { kh = M.hash k; kk = k }
+  (* The transposition-table key of a state: the least packed key of its
+     orbit under the compiled automorphisms ([maps = [||]] without
+     symmetry — then the state's own key).  [hits] counts states whose
+     representative is a proper image. *)
+  let table_key layout maps hits st =
+    let k = M.canon layout st in
+    let m = Sym.orbit_min maps k in
+    if m != k then incr hits;
+    m
 
   (* --- snapshots ------------------------------------------------------------ *)
 
-  (* A state's canonical key is immutable structural data, so the whole
-     resume point marshals cleanly: no closures, no custom blocks.  The
-     CRC in the [Snapshot] frame guards the unmarshal — only validated
-     payloads are ever decoded.
+  (* Keys are strings, so the whole resume point marshals cleanly: no
+     closures, no custom blocks.  The CRC in the [Snapshot] frame guards
+     the unmarshal — only validated payloads are ever decoded.
 
      With reduction, visited states carry their stored sleep set and
      frontier states their arrival sleep set: the sleep-set revisit
@@ -234,7 +240,7 @@ module Make (M : Machine_sig.MACHINE) = struct
      (and any parallel run) stores empty sleep lists. *)
 
   type visited_repr =
-    | Exact_keys of (M.key * Machine_sig.action list) array
+    | Exact_keys of (string * Machine_sig.action list) array
     | Bloom_filter of Bloom.state
     | Spilled of Spill_store.state
         (** visited set lives in a tiered spill store: hot keys inline,
@@ -255,10 +261,10 @@ module Make (M : Machine_sig.MACHINE) = struct
     s_degraded_at : int option;
   }
 
-  (* "explore3": the resume payload gained the symmetry mode pin and the
-     spill-store visited representation; older snapshots are rejected by
-     kind rather than misread. *)
-  let snap_kind = "weakord.explore3/" ^ M.name
+  (* "explore4": visited keys became packed strings (explore3 carried
+     structural tuples); older snapshots are rejected by kind rather than
+     misread. *)
+  let snap_kind = "weakord.explore4/" ^ M.name
 
   let fingerprint prog =
     Format.asprintf "%s|%a" (Prog.name prog) Prog.pp prog
@@ -310,17 +316,22 @@ module Make (M : Machine_sig.MACHINE) = struct
 
   (* Rough per-entry cost of the exact visited set: the key's reachable
      words plus a few words of hash-table binding.  Measured once per run
-     on the initial state's key — deterministic, so memory-budget
-     behaviour is reproducible. *)
-  let entry_bytes_estimate prog =
-    let k = M.canon (M.initial prog) in
+     on the initial state's key (every key of a layout has the same
+     length) — deterministic, so memory-budget behaviour is
+     reproducible. *)
+  let entry_bytes_estimate layout prog =
+    let k = M.canon layout (M.initial prog) in
     (Obj.reachable_words (Obj.repr k) + 4) * (Sys.word_size / 8)
 
-  (* Bloom probes come from two independent structural hashes of the key:
-     the machine's own (cached in the [hkey]) and a seeded stdlib
-     traversal. *)
-  let bloom_hashes hk =
-    (hk.kh, Hashtbl.seeded_hash_param 128 256 0x9e3779b9 hk.kk)
+  (* Bytes a visited table of [n] keys occupies: [entry_bytes] per key plus
+     the bucket array — [buckets] words at creation, and at least a word
+     per two keys once it grows ([Hashtbl] doubles past two keys per
+     bucket).  With packed keys the array is most of a small table. *)
+  let table_bytes ~entry_bytes ~buckets n =
+    (n * entry_bytes) + (max buckets (n / 2) * (Sys.word_size / 8))
+
+  (* Bloom probes come from two independent hashes of the key bytes. *)
+  let bloom_hashes k = (String.hash k, String.seeded_hash 0x9e3779b9 k)
 
   (* --- sequential engine ---------------------------------------------------- *)
 
@@ -333,15 +344,14 @@ module Make (M : Machine_sig.MACHINE) = struct
      multi-domain request ([use_sleep:false], ample-only, so its visited
      set can be handed to the parallel engine at [spill]).  Returns the
      spill resume point instead of finishing when the threshold hits. *)
-  let run_seq ~oracle:oracle0 ~use_sleep ?spill ~perms ~store ~resumed ~fuel
-      ~(rcfg : rcfg) prog =
-    (* The interner doubles as the transposition table: a key's presence
-       means the state was claimed; its value is the sleep set stored by
-       the first expansion, consulted on revisits.  Keys are stored once;
-       no marshalled strings.  With a spill store the table is bypassed
+  let run_seq ~oracle:oracle0 ~use_sleep ?spill ~perms ~layout ~maps ~store
+      ~resumed ~fuel ~(rcfg : rcfg) prog =
+    (* The transposition table: a key's presence means the state was
+       claimed; its value is the sleep set stored by the first expansion,
+       consulted on revisits.  With a spill store the table is bypassed
        entirely: membership lives in the store (hot tier + disk runs),
        which is valid because a spilling run never uses sleep sets. *)
-    let visited : Machine_sig.action list ref H.t = H.create 4096 in
+    let visited : Machine_sig.action list ref H.t = H.create table_buckets in
     let bloom = ref None in
     let claimed = ref 0 in
     let acc = ref Final.Set.empty in
@@ -356,24 +366,8 @@ module Make (M : Machine_sig.MACHINE) = struct
     let stack = ref [ { fs = M.initial prog; fsleep = [] } ] in
     let stop = ref None in
     let spilled = ref false in
-    let entry_bytes = entry_bytes_estimate prog in
-    (* The least key of the state's orbit under the program's automorphism
-       group: the transposition-table probe identifies a state with every
-       symmetric image of it.  [perms = []] is the identity fold — free. *)
-    let orbit_min k =
-      match perms with
-      | [] -> k
-      | _ ->
-          let m =
-            List.fold_left
-              (fun m pi ->
-                let k' = M.permute pi k in
-                if compare k' m < 0 then k' else m)
-              k perms
-          in
-          if m != k then incr sym_hits;
-          m
-    in
+    let entry_bytes = entry_bytes_estimate layout prog in
+    let visited_bytes n = table_bytes ~entry_bytes ~buckets:table_buckets n in
     (* Restore a resume point before the sweep starts. *)
     (match resumed with
     | None -> ()
@@ -386,8 +380,7 @@ module Make (M : Machine_sig.MACHINE) = struct
         | Exact_keys pairs, None ->
             Array.iter
               (fun (k, sl) ->
-                let hk = hkey k in
-                if not (H.mem visited hk) then H.add visited hk (ref sl))
+                if not (H.mem visited k) then H.add visited k (ref sl))
               pairs
         | Bloom_filter bs, None -> bloom := Some (Bloom.import bs)
         | Spilled _, None -> assert false (* rejected in [run] *));
@@ -424,12 +417,12 @@ module Make (M : Machine_sig.MACHINE) = struct
             | None ->
                 let pairs =
                   Array.make (H.length visited)
-                    (M.canon (M.initial prog), ([] : Machine_sig.action list))
+                    ("", ([] : Machine_sig.action list))
                 in
                 let i = ref 0 in
                 H.iter
-                  (fun hk sl ->
-                    pairs.(!i) <- (hk.kk, (if keep_sleeps then !sl else []));
+                  (fun k sl ->
+                    pairs.(!i) <- (k, (if keep_sleeps then !sl else []));
                     incr i)
                   visited;
                 Exact_keys pairs)
@@ -480,8 +473,8 @@ module Make (M : Machine_sig.MACHINE) = struct
       let bits = max (1 lsl 20) (32 * !claimed) in
       let b = Bloom.create ~bits in
       H.iter
-        (fun hk _ ->
-          let h1, h2 = bloom_hashes hk in
+        (fun k _ ->
+          let h1, h2 = bloom_hashes k in
           ignore (Bloom.add_mem b h1 h2))
         visited;
       H.reset visited;
@@ -501,7 +494,7 @@ module Make (M : Machine_sig.MACHINE) = struct
            "memory budget crossed at %d state(s) (~%d bytes of visited \
             set): degrading to a Bloom-filter visited set (%d bits) — \
             coverage is now approximate, the verdict will be Partial%s"
-           !expanded (!claimed * entry_bytes) (Bloom.bits b) por_note)
+           !expanded (visited_bytes !claimed) (Bloom.bits b) por_note)
     in
     (* The spill-store counterpart of [degrade]: crossing the memory
        budget flushes the hot tier into an immutable run on disk instead
@@ -645,40 +638,38 @@ module Make (M : Machine_sig.MACHINE) = struct
           if !stop <> None || !spilled then running := false
           else begin
             stack := rest;
-            let kk = orbit_min (M.canon st) in
+            let kk = table_key layout maps sym_hits st in
             (match store with
             | Some sp ->
-                if Spill_store.add sp (Marshal.to_string kk [ Marshal.No_sharing ])
-                then begin
+                if Spill_store.add sp kk then begin
                   incr claimed;
                   (match rcfg.budget with
                   | Some b
                     when Budget.over_memory b
-                           ~bytes:(Spill_store.hot_size sp * entry_bytes) ->
+                           ~bytes:(visited_bytes (Spill_store.hot_size sp)) ->
                       spill_flush sp
                   | _ -> ());
                   expand_fresh st ~stored:None ~sleep
                 end
             | None -> (
-                let hk = hkey kk in
                 match !bloom with
                 | Some b ->
-                    let h1, h2 = bloom_hashes hk in
+                    let h1, h2 = bloom_hashes kk in
                     if not (Bloom.add_mem b h1 h2) then begin
                       incr claimed;
                       expand_fresh st ~stored:None ~sleep
                     end
                 | None -> (
-                    match H.find_opt visited hk with
+                    match H.find_opt visited kk with
                     | Some stored -> revisit st ~stored ~sleep
                     | None ->
                         let stored = ref [] in
-                        H.add visited hk stored;
+                        H.add visited kk stored;
                         incr claimed;
                         (match rcfg.budget with
                         | Some b
                           when Budget.over_memory b
-                                 ~bytes:(!claimed * entry_bytes) ->
+                                 ~bytes:(visited_bytes !claimed) ->
                             degrade ()
                         | _ -> ());
                         expand_fresh st ~stored:(Some stored) ~sleep)));
@@ -767,23 +758,24 @@ module Make (M : Machine_sig.MACHINE) = struct
             of the resume frontier *)
   }
 
-  let shard_of sh hk = sh.shards.((hk.kh land max_int) mod Array.length sh.shards)
+  let shard_of sh k =
+    sh.shards.((String.hash k land max_int) mod Array.length sh.shards)
 
   (* First visit wins: returns [true] iff this domain claimed the key. *)
-  let try_claim sh hk =
-    let s = shard_of sh hk in
+  let try_claim sh k =
+    let s = shard_of sh k in
     Mutex.lock s.lock;
-    let fresh = not (H.mem s.table hk) in
-    if fresh then H.add s.table hk (Atomic.fetch_and_add sh.next_id 1);
+    let fresh = not (H.mem s.table k) in
+    if fresh then H.add s.table k (Atomic.fetch_and_add sh.next_id 1);
     Mutex.unlock s.lock;
     fresh
 
   (* Give a claim back (the claimer hit a bound before expanding): the
      state must stay claimable after resume. *)
-  let unclaim sh hk =
-    let s = shard_of sh hk in
+  let unclaim sh k =
+    let s = shard_of sh k in
     Mutex.lock s.lock;
-    H.remove s.table hk;
+    H.remove s.table k;
     Mutex.unlock s.lock
 
   let set_stop sh reason =
@@ -865,7 +857,7 @@ module Make (M : Machine_sig.MACHINE) = struct
      schedule-independent.  (Sleep sets are a property of the visit
      order; they stay sequential.)  Per-worker reduction counters avoid
      atomic traffic; the parent sums them. *)
-  let worker sh oracle perms prog =
+  let worker sh oracle perms layout maps prog =
     let acc = ref Final.Set.empty in
     let oracle_calls = ref 0 in
     let ample_hits = ref 0 in
@@ -873,22 +865,6 @@ module Make (M : Machine_sig.MACHINE) = struct
     let sym_hits = ref 0 in
     let local = ref [] in
     let iters = ref 0 in
-    (* Deterministic function of the state alone, so symmetry pruning
-       keeps the claimed-state set schedule-independent. *)
-    let orbit_min k =
-      match perms with
-      | [] -> k
-      | _ ->
-          let m =
-            List.fold_left
-              (fun m pi ->
-                let k' = M.permute pi k in
-                if compare k' m < 0 then k' else m)
-              k perms
-          in
-          if m != k then incr sym_hits;
-          m
-    in
     let expand st =
       match M.final prog st with
       | Some f ->
@@ -917,8 +893,13 @@ module Make (M : Machine_sig.MACHINE) = struct
         | Some b when !iters land 63 = 0 ->
             let bytes =
               match sh.store with
-              | Some sp -> Spill_store.hot_size sp * sh.entry_bytes
-              | None -> Atomic.get sh.next_id * sh.entry_bytes
+              | Some sp ->
+                  table_bytes ~entry_bytes:sh.entry_bytes
+                    ~buckets:table_buckets (Spill_store.hot_size sp)
+              | None ->
+                  table_bytes ~entry_bytes:sh.entry_bytes
+                    ~buckets:(n_shards * shard_buckets)
+                    (Atomic.get sh.next_id)
             in
             (match Budget.check b ~bytes with
             | Some Budget.Deadline -> set_stop sh Deadline_exceeded
@@ -941,7 +922,9 @@ module Make (M : Machine_sig.MACHINE) = struct
         incr iters;
         if Atomic.get sh.stopping <> None then add_leftover sh st
         else
-          let kk = orbit_min (M.canon st) in
+          (* A deterministic function of the state alone, so symmetry
+             pruning keeps the claimed-state set schedule-independent. *)
+          let kk = table_key layout maps sym_hits st in
           match sh.store with
           | Some sp ->
               (* Fuel is reserved *before* the claim: a spilled claim
@@ -953,21 +936,16 @@ module Make (M : Machine_sig.MACHINE) = struct
                 set_stop sh Fuel_exhausted;
                 add_leftover sh st
               end
-              else if
-                not
-                  (Spill_store.add sp
-                     (Marshal.to_string kk [ Marshal.No_sharing ]))
-              then Atomic.decr sh.expanded
+              else if not (Spill_store.add sp kk) then Atomic.decr sh.expanded
               else expand st
           | None ->
-              let hk = hkey kk in
-              if try_claim sh hk then
+              if try_claim sh kk then
                 let n = Atomic.fetch_and_add sh.expanded 1 in
                 if n >= sh.fuel then begin
                   (* Bound reached after the claim: give the claim back so
                      the state survives into the resume frontier. *)
                   Atomic.decr sh.expanded;
-                  unclaim sh hk;
+                  unclaim sh kk;
                   set_stop sh Fuel_exhausted;
                   add_leftover sh st
                 end
@@ -1006,8 +984,8 @@ module Make (M : Machine_sig.MACHINE) = struct
 
   (* [handoff] says where [resumed] came from: [true] for the adaptive
      probe's own snapshot, [false] for a real [--resume]. *)
-  let run_par ~oracle ~perms ~store ~resumed ~handoff ~domains ~fuel
-      ~(rcfg : rcfg) prog =
+  let run_par ~oracle ~perms ~layout ~maps ~store ~resumed ~handoff ~domains
+      ~fuel ~(rcfg : rcfg) prog =
     (match resumed with
     | Some { s_visited = Bloom_filter _; _ } ->
         raise
@@ -1019,7 +997,7 @@ module Make (M : Machine_sig.MACHINE) = struct
       {
         shards =
           Array.init n_shards (fun _ ->
-              { lock = Mutex.create (); table = H.create 1024 });
+              { lock = Mutex.create (); table = H.create shard_buckets });
         next_id = Atomic.make 0;
         queue_lock = Mutex.create ();
         work = Condition.create ();
@@ -1034,7 +1012,7 @@ module Make (M : Machine_sig.MACHINE) = struct
         ndomains = domains;
         budget = rcfg.budget;
         cancel = rcfg.cancel;
-        entry_bytes = entry_bytes_estimate prog;
+        entry_bytes = entry_bytes_estimate layout prog;
         store;
         leftover_lock = Mutex.create ();
         leftovers = [];
@@ -1051,7 +1029,7 @@ module Make (M : Machine_sig.MACHINE) = struct
                  it, or the adaptive probe shares this very instance. *)
               ()
           | Exact_keys pairs, None ->
-              Array.iter (fun (k, _) -> ignore (try_claim sh (hkey k))) pairs
+              Array.iter (fun (k, _) -> ignore (try_claim sh k)) pairs
           | (Bloom_filter _ | Spilled _), None -> assert false);
           Atomic.set sh.expanded s.s_expanded;
           resumed_sym_hits := s.s_sym_hits;
@@ -1072,9 +1050,9 @@ module Make (M : Machine_sig.MACHINE) = struct
     in
     let others =
       Array.init (domains - 1) (fun _ ->
-          Domain.spawn (fun () -> worker sh oracle perms prog))
+          Domain.spawn (fun () -> worker sh oracle perms layout maps prog))
     in
-    let mine = worker sh oracle perms prog in
+    let mine = worker sh oracle perms layout maps prog in
     let results = Array.append [| mine |] (Array.map Domain.join others) in
     let acc =
       Array.fold_left
@@ -1098,16 +1076,13 @@ module Make (M : Machine_sig.MACHINE) = struct
               let n =
                 Array.fold_left (fun a s -> a + H.length s.table) 0 sh.shards
               in
-              let keys =
-                Array.make n
-                  (M.canon (M.initial prog), ([] : Machine_sig.action list))
-              in
+              let keys = Array.make n ("", ([] : Machine_sig.action list)) in
               let i = ref 0 in
               Array.iter
                 (fun s ->
                   H.iter
-                    (fun hk _ ->
-                      keys.(!i) <- (hk.kk, []);
+                    (fun k _ ->
+                      keys.(!i) <- (k, []);
                       incr i)
                     s.table)
                 sh.shards;
@@ -1201,8 +1176,11 @@ module Make (M : Machine_sig.MACHINE) = struct
     (* Symmetry reduction activates whenever the program's automorphism
        group is nontrivial — unlike the oracle it has no size guard, the
        trivial group costing nothing. *)
-    let perms = if rcfg.sym then (Sym.cached prog).Sym.perms else [] in
+    let group = if rcfg.sym then Sym.cached prog else Sym.trivial in
+    let perms = group.Sym.perms in
     let sym_on = perms <> [] in
+    let layout = Layout.cached prog M.shape in
+    let maps = Sym.compile layout group in
     let resumed =
       Option.map (fun bytes -> decode_snap ~prog bytes) rcfg.resume
     in
@@ -1255,12 +1233,7 @@ module Make (M : Machine_sig.MACHINE) = struct
                     run); it cannot seed an exact spill store")
           | Some { s_visited = Exact_keys pairs; _ } ->
               let sp = Spill_store.create ~dir ~threshold in
-              Array.iter
-                (fun (k, _) ->
-                  ignore
-                    (Spill_store.add sp
-                       (Marshal.to_string k [ Marshal.No_sharing ])))
-                pairs;
+              Array.iter (fun (k, _) -> ignore (Spill_store.add sp k)) pairs;
               Some sp
           | None -> Some (Spill_store.create ~dir ~threshold))
     in
@@ -1289,12 +1262,12 @@ module Make (M : Machine_sig.MACHINE) = struct
     if domains = 1 then
       finish
         (fst
-           (run_seq ~oracle ~use_sleep ~perms ~store ~resumed ~fuel ~rcfg
+           (run_seq ~oracle ~use_sleep ~perms ~layout ~maps ~store ~resumed ~fuel ~rcfg
               prog))
     else if not adaptive then begin
       reject_sleeps ();
       finish
-        (run_par ~oracle ~perms ~store ~resumed ~handoff:false ~domains ~fuel
+        (run_par ~oracle ~perms ~layout ~maps ~store ~resumed ~handoff:false ~domains ~fuel
            ~rcfg prog)
     end
     else begin
@@ -1313,13 +1286,13 @@ module Make (M : Machine_sig.MACHINE) = struct
               recognized; using the sequential engine" domains recommended);
         finish
           (fst
-             (run_seq ~oracle ~use_sleep ~perms ~store ~resumed ~fuel ~rcfg
+             (run_seq ~oracle ~use_sleep ~perms ~layout ~maps ~store ~resumed ~fuel ~rcfg
                 prog))
       end
       else begin
         reject_sleeps ();
         let r, sp =
-          run_seq ~oracle ~use_sleep:false ~perms ~store ~resumed ~fuel
+          run_seq ~oracle ~use_sleep:false ~perms ~layout ~maps ~store ~resumed ~fuel
             ~spill:spill_threshold_default ~rcfg prog
         in
         match sp with
@@ -1340,7 +1313,7 @@ module Make (M : Machine_sig.MACHINE) = struct
                  "adaptive parallelism: frontier spilled at %d state(s); \
                   fanning out to %d domain(s)" snapv.s_expanded eff);
             finish
-              (run_par ~oracle ~perms ~store ~resumed:(Some snapv)
+              (run_par ~oracle ~perms ~layout ~maps ~store ~resumed:(Some snapv)
                  ~handoff:true ~domains:eff ~fuel ~rcfg prog)
       end
     end

@@ -1,6 +1,6 @@
-(** Exhaustive exploration of abstract machines: hash-consed transposition
-    table, optional parallel (multi-domain) frontier sweep, fuel bounds —
-    and the resilience layer: wall-clock/memory budgets checked at safe
+(** Exhaustive exploration of abstract machines: a transposition table of
+    packed state keys, optional parallel (multi-domain) frontier sweep,
+    fuel bounds — and the resilience layer: wall-clock/memory budgets checked at safe
     points, crash-safe checkpoints of the frontier + transposition table,
     resume, and graceful degradation to a Bloom-filter visited set under
     memory pressure. *)

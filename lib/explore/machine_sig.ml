@@ -54,13 +54,6 @@ type 'state oracle = {
 module type MACHINE = sig
   type state
 
-  type key
-  (** A canonical, structurally comparable summary of a state.  Equal keys
-      must mean the same set of future behaviours.  Keys are built from
-      immutable data (ints, strings, tuples, lists, arrays) so they can be
-      hashed and compared cheaply and shared freely across domains — no
-      serialization involved. *)
-
   val name : string
 
   val initial : Prog.t -> state
@@ -74,30 +67,24 @@ module type MACHINE = sig
   (** [Some f] iff the state is a complete run (all threads finished, all
       buffered effects drained). *)
 
-  val canon : state -> key
-  (** Canonicalize a state for memoization.  Must be cheap: one structural
-      copy of the varying parts, no marshalling. *)
+  val shape : Layout.shape
+  (** What the machine's states hold beyond memory and registers: the
+      engine lays keys out with [Layout.cached prog shape]. *)
 
-  val hash : key -> int
-  val equal : key -> key -> bool
-
-  val permute : Sym.perm -> key -> key
-  (** The image of a canonical key under a program automorphism: memory
-      bindings relocated (and re-sorted — renaming does not preserve
-      binding order), per-processor components moved to the image
-      processor with registers/locations renamed, and any global
-      synchronization structures (reservation lists) renamed and
-      re-normalized.  Must satisfy
-      [canon (sigma st) = permute sigma (canon st)] for the state map
-      [sigma] the automorphism induces; the orbit-representative pruning
-      in [Explore] is sound exactly because of that equation. *)
+  val canon : Layout.t -> state -> string
+  (** The state's packed key under the program's layout.  Equal keys must
+      mean the same set of future behaviours and the same [final]; the
+      layout keeps a written 0 distinct from an unwritten slot, so
+      writing every varying component of the state is enough.  For the
+      state map [sigma] a program automorphism induces, the machine must
+      place components so that
+      [canon (sigma st) = Sym.permute (compiled sigma) (canon st)] — the
+      layout makes that hold for anything written through its per-
+      processor, per-register and per-location slots.  The
+      orbit-representative pruning in [Explore] is sound exactly because
+      of that equation. *)
 
   val por : Prog.t -> state oracle option
   (** The machine's partial-order reduction oracle for [prog], or [None]
       to disable reduction for this machine (always sound). *)
 end
-
-(* The default key hash.  [Hashtbl.hash] caps at 10 meaningful nodes, which
-   collides badly on machine states that differ only deep inside a buffer;
-   widen the traversal so the whole canonical form participates. *)
-let structural_hash k = Hashtbl.hash_param 128 256 k

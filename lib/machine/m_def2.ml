@@ -244,47 +244,33 @@ module Make (C : CONFIG) = struct
         (Final.make ~memory:st.memory
            ~regs:(Array.map (fun pr -> pr.regs) st.procs))
 
-  type key =
-    (string * int) list
-    * (int * (string * int) list * (string * int * int) list * int) array
-    * (string * (int * int) list) list
-
-  let canon st : key =
-    ( Smap.bindings st.memory,
-      Array.map
-        (fun pr ->
-          ( pr.next,
-            Smap.bindings pr.regs,
-            List.map (fun w -> (w.wloc, w.wval, w.seq)) pr.pending,
-            pr.nseq ))
-        st.procs,
-      List.map
-        (fun (l, rs) -> (l, List.map (fun r -> (r.rproc, r.watermark)) rs))
-        st.resvs )
-
-  let hash = Machine_sig.structural_hash
-  let equal (a : key) (b : key) = a = b
-
   (* Sequence numbers are per-processor counters, so they move with the
-     processor unchanged.  Reservations are kept sorted (outer list by
-     location, each owner list by processor), so renaming must re-sort
-     both levels to land back in canonical form. *)
-  let permute pi ((mem, procs, resvs) : key) : key =
-    ( Sym.rename_bindings pi mem,
-      Sym.permute_procs pi
-        (fun p (next, regs, pend, nseq) ->
-          ( next,
-            Sym.rename_reg_bindings pi ~proc:p regs,
-            List.map (fun (l, v, s) -> (Sym.rename_loc pi l, v, s)) pend,
-            nseq ))
-        procs,
-      List.map
-        (fun (l, rs) ->
-          ( Sym.rename_loc pi l,
-            List.sort compare
-              (List.map (fun (rp, w) -> (Sym.proc pi rp, w)) rs) ))
-        resvs
-      |> List.sort compare )
+     processor unchanged; a reservation is a cell of the (location,
+     processor) matrix holding its watermark. *)
+  let shape =
+    { Layout.counters = 2; mask = false; buffer = Some 1; reservations = true }
+
+  let canon l st =
+    let b = Layout.create l in
+    Layout.set_memory l b st.memory;
+    Array.iteri
+      (fun p pr ->
+        Layout.set_counter l b p 0 pr.next;
+        Layout.set_counter l b p 1 pr.nseq;
+        Layout.set_regs l b p pr.regs;
+        List.iteri
+          (fun i w ->
+            Layout.set_entry l b p i w.wloc w.wval;
+            Layout.set_entry_counter l b p i 0 w.seq)
+          pr.pending)
+      st.procs;
+    List.iter
+      (fun (loc, rs) ->
+        List.iter
+          (fun r -> Layout.set_reservation l b ~loc ~proc:r.rproc r.watermark)
+          rs)
+      st.resvs;
+    Layout.key b
 
   (* --- partial-order reduction oracle -----------------------------------
 

@@ -145,24 +145,21 @@ let final prog st =
       (Final.make ~memory:st.memory
          ~regs:(Array.map (fun pr -> pr.regs) st.procs))
 
-type key = (string * int) list * (int * (string * int) list) array
-
-let canon st : key =
-  ( Smap.bindings st.memory,
-    Array.map (fun pr -> (pr.executed, Smap.bindings pr.regs)) st.procs )
-
-let hash = Machine_sig.structural_hash
-let equal (a : key) (b : key) = a = b
-
 (* The executed bitmask indexes instructions; automorphisms map thread [p]'s
    instruction [i] to the image thread's instruction [i], so the mask moves
    with the processor unchanged. *)
-let permute pi ((mem, procs) : key) : key =
-  ( Sym.rename_bindings pi mem,
-    Sym.permute_procs pi
-      (fun p (executed, regs) ->
-        (executed, Sym.rename_reg_bindings pi ~proc:p regs))
-      procs )
+let shape =
+  { Layout.counters = 0; mask = true; buffer = None; reservations = false }
+
+let canon l st =
+  let b = Layout.create l in
+  Layout.set_memory l b st.memory;
+  Array.iteri
+    (fun p pr ->
+      Layout.set_mask l b p pr.executed;
+      Layout.set_regs l b p pr.regs)
+    st.procs;
+  Layout.key b
 
 (* --- partial-order reduction oracle -------------------------------------
 

@@ -239,21 +239,16 @@ let por prog =
   Some
     { Machine_sig.successors_labeled = successors_labeled prog; ample }
 
-type key =
-  (string * int) list * (int * (string * int) list * (string * int) list) array
+let shape =
+  { Layout.counters = 1; mask = false; buffer = Some 0; reservations = false }
 
-let canon st : key =
-  ( Smap.bindings st.memory,
-    Array.map (fun pr -> (pr.next, Smap.bindings pr.regs, pr.wbuf)) st.procs )
-
-let hash = Machine_sig.structural_hash
-let equal (a : key) (b : key) = a = b
-
-let permute pi ((mem, procs) : key) : key =
-  ( Sym.rename_bindings pi mem,
-    Sym.permute_procs pi
-      (fun p (next, regs, wbuf) ->
-        ( next,
-          Sym.rename_reg_bindings pi ~proc:p regs,
-          List.map (fun (l, v) -> (Sym.rename_loc pi l, v)) wbuf ))
-      procs )
+let canon l st =
+  let b = Layout.create l in
+  Layout.set_memory l b st.memory;
+  Array.iteri
+    (fun p pr ->
+      Layout.set_counter l b p 0 pr.next;
+      Layout.set_regs l b p pr.regs;
+      List.iteri (fun i (loc, v) -> Layout.set_entry l b p i loc v) pr.wbuf)
+    st.procs;
+  Layout.key b

@@ -4,9 +4,8 @@
    to a new run and keep going", and the store stays exact, so the sweep
    stays Complete.
 
-   Keys are opaque byte strings (the engine marshals its canonical keys
-   with [Marshal.No_sharing], so byte equality coincides with structural
-   key equality).  A probe walks:
+   Keys are opaque byte strings (the engine's packed state keys, see
+   [Layout]), ordered by [String.compare].  A probe walks:
 
      hot table  ->  per-run Bloom front-filter  ->  sparse block index
                 ->  one CRC-checked block read + scan
@@ -145,16 +144,20 @@ let decode_block body count =
     incr pos;
     v
   in
-  let prev = ref "" in
+  (* [buf] holds the previous key in its first [prev] bytes: each key is
+     its shared prefix (already in place) plus one blit of its suffix. *)
+  let buf = ref (Bytes.create 64) and prev = ref 0 in
   for i = 0 to count - 1 do
     let pl = int_until ' ' in
     let sl = int_until ' ' in
-    if pl > String.length !prev || !pos + sl > len then
+    if pl > !prev || !pos + sl > len then
       raise (Corrupt "spill block: entry overruns block");
-    let k = String.sub !prev 0 pl ^ String.sub body !pos sl in
+    if pl + sl > Bytes.length !buf then
+      buf := Bytes.extend !buf 0 (pl + sl);
+    Bytes.blit_string body !pos !buf pl sl;
     pos := !pos + sl;
-    keys.(i) <- k;
-    prev := k
+    keys.(i) <- Bytes.sub_string !buf 0 (pl + sl);
+    prev := pl + sl
   done;
   if !pos <> len then raise (Corrupt "spill block: trailing bytes");
   keys
@@ -287,11 +290,12 @@ let read_block r offset =
 (* Greatest block whose first key is <= [key], by binary search. *)
 let block_for r key =
   let lo = ref 0 and hi = ref (Array.length r.index - 1) in
-  if !hi < 0 || compare key (fst r.index.(0)) < 0 then None
+  if !hi < 0 || String.compare key (fst r.index.(0)) < 0 then None
   else begin
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if compare (fst r.index.(mid)) key <= 0 then lo := mid else hi := mid - 1
+      if String.compare (fst r.index.(mid)) key <= 0 then lo := mid
+      else hi := mid - 1
     done;
     Some (snd r.index.(!lo))
   end
@@ -310,7 +314,7 @@ let run_mem t r key =
         let rec scan i =
           if i >= Array.length keys then false
           else
-            let c = compare keys.(i) key in
+            let c = String.compare keys.(i) key in
             if c = 0 then true else if c > 0 then false else scan (i + 1)
         in
         scan 0
@@ -327,7 +331,7 @@ let flush_locked t =
         keys.(!i) <- k;
         incr i)
       t.hot;
-    Array.sort compare keys;
+    Array.sort String.compare keys;
     let r = write_run t keys in
     t.runs <- r :: t.runs;
     t.spilled_keys <- t.spilled_keys + Array.length keys;

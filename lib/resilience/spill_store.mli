@@ -9,9 +9,8 @@
     (The Bloom filters here only short-circuit negatives — a "maybe"
     always falls through to the CRC-checked block read.)
 
-    Keys are opaque byte strings; callers marshal their structural keys
-    with [Marshal.No_sharing] so byte equality coincides with structural
-    equality.  Run files are written atomically and never rewritten, so a
+    Keys are opaque byte strings, ordered by [String.compare]; the
+    exploration engine passes its packed state keys straight in.  Run files are written atomically and never rewritten, so a
     snapshot can name them and a crash/resume re-opens exactly the same
     immutable data.  Every operation takes an internal mutex: one store
     can serve as the shared claim table of a parallel sweep. *)

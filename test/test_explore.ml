@@ -255,6 +255,46 @@ let test_verify_jobs_agree () =
         (List.map (fun v -> v.Weak_ordering.ok) r4.Weak_ordering.verdicts))
     [ Machines.wbuf; Machines.def2; Machines.rc ]
 
+(* --- the symmetry quotient is pinned ------------------------------------- *)
+
+(* Sequential state counts of the scaling programs, with and without
+   symmetry reduction.  The key representation is free to change; the
+   quotient it induces is not: a changed count means two states that used
+   to be told apart are merged, or the reverse. *)
+let pinned_states =
+  [
+    ("big3", "sc", 412, 1235);
+    ("big3", "wbuf", 2436, 6362);
+    ("big3", "ooo", 4828, 14099);
+    ("big3", "def1", 4359, 13037);
+    ("big3", "def2", 2436, 6362);
+    ("big3", "def2-rs", 2436, 6362);
+    ("big3", "rp3", 4359, 13037);
+    ("big3", "rc", 4359, 13037);
+    ("big4", "def2", 28780, 91681);
+    ("big4", "ooo", 75004, 281183);
+  ]
+
+let test_pinned_states () =
+  List.iter
+    (fun (pname, mname, with_sym, without_sym) ->
+      let prog =
+        (Option.get (Litmus_classics.find pname)).Litmus_classics.prog
+      in
+      let m = Option.get (Machines.find mname) in
+      let states sym =
+        let rcfg = { Explore.rcfg_default with Explore.sym } in
+        (Machines.explore ~domains:1 ~rcfg m prog).Explore.stats
+          .Explore.states_expanded
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s/%s states with symmetry" pname mname)
+        with_sym (states true);
+      Alcotest.(check int)
+        (Printf.sprintf "%s/%s states without symmetry" pname mname)
+        without_sym (states false))
+    pinned_states
+
 let suite =
   ( "explore",
     [
@@ -272,4 +312,5 @@ let suite =
         test_big3_reduction_ratio;
       Alcotest.test_case "verify independent of --jobs" `Quick
         test_verify_jobs_agree;
+      Alcotest.test_case "pinned state counts" `Quick test_pinned_states;
     ] )

@@ -280,6 +280,30 @@ let test_explore_resume_rejects_mismatch () =
   | exception Explore.Resume_rejected _ -> ()
   | _ -> Alcotest.fail "corrupted snapshot accepted"
 
+(* Snapshots taken before keys were packed ("explore3": structural tuple
+   keys) must be refused by kind, before the payload is unmarshalled as
+   the wrong type. *)
+let test_explore3_snapshot_rejected () =
+  let m = Machines.def2 and prog = prog_of "dekker" in
+  let old_key = ([ ("x", 1) ], [| (1, [ ("r0", 0) ], [ ("y", 1, 0) ], 1) |], []) in
+  let snap =
+    Snapshot.frame ~kind:"weakord.explore3/def2" ~meta:"1 state(s) expanded"
+      ~payload:(Marshal.to_string [| (old_key, []) |] [])
+  in
+  match explore_with ~resume:snap m prog with
+  | exception Explore.Resume_rejected msg ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length msg
+          && (String.sub msg i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      check "names the snapshot's kind" true (mentions "weakord.explore3/def2");
+      check "names the engine's kind" true (mentions "weakord.explore4/def2")
+  | _ -> Alcotest.fail "explore3 snapshot resumed"
+
 (* --- explore: graceful degradation ------------------------------------------ *)
 
 (* A memory budget small enough that every corpus program crosses it
@@ -722,6 +746,8 @@ let suite =
         test_explore_deadline_stop;
       Alcotest.test_case "explore resume rejects mismatch" `Quick
         test_explore_resume_rejects_mismatch;
+      Alcotest.test_case "explore3 snapshot rejected by kind" `Quick
+        test_explore3_snapshot_rejected;
       Alcotest.test_case "degraded never Complete, never wrong" `Quick
         test_degraded_never_complete_never_wrong;
       Alcotest.test_case "degraded snapshot resumes sequentially" `Quick

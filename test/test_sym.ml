@@ -20,22 +20,17 @@ let prog_of name =
 (* --- machine-level orbit properties ---------------------------------- *)
 
 module Probe (M : Machine_sig.MACHINE) = struct
-  module H = Hashtbl.Make (struct
-    type t = M.key
-
-    let equal = M.equal
-    let hash = M.hash
-  end)
+  module H = Hashtbl.Make (String)
 
   (* Raw BFS (no reduction): the full reachable key set, or a prefix if
      the cap is hit.  The pointwise properties below hold on any prefix;
      the image-closure check needs the full set and is skipped on
      truncation. *)
-  let reachable_keys prog cap =
+  let reachable_keys layout prog cap =
     let seen = H.create 1024 in
     let q = Queue.create () in
     let add st =
-      let k = M.canon st in
+      let k = M.canon layout st in
       if not (H.mem seen k) then (
         H.replace seen k ();
         Queue.push st q)
@@ -52,44 +47,40 @@ module Probe (M : Machine_sig.MACHINE) = struct
     done;
     (seen, !complete)
 
-  let orbit_min g k =
-    List.fold_left
-      (fun acc p ->
-        let k' = M.permute p k in
-        if compare k' acc < 0 then k' else acc)
-      k g.Sym.perms
-
   let check name prog =
     let g = Sym.of_prog prog in
     if g.Sym.order <= 1 then
       Alcotest.failf "%s/%s: expected a nontrivial automorphism group" name
         M.name;
-    let seen, complete = reachable_keys prog 60_000 in
+    let layout = Layout.cached prog M.shape in
+    let maps = Sym.compile layout g in
+    let seen, complete = reachable_keys layout prog 60_000 in
     (* Every automorphism maps reachable keys to reachable keys — checked
        only when the probe saw the whole graph (on a prefix the image may
        legitimately land past the cap). *)
     if complete then
-      List.iter
-        (fun p ->
+      Array.iter
+        (fun m ->
           H.iter
             (fun k () ->
-              if not (H.mem seen (M.permute p k)) then
+              if not (H.mem seen (Sym.permute m k)) then
                 Alcotest.failf
                   "%s/%s: image of a reachable key is unreachable" name
                   M.name)
             seen)
-        g.Sym.perms;
+        maps;
     H.iter
       (fun k () ->
-        let m = orbit_min g k in
-        if not (M.equal (orbit_min g m) m) then
+        let m = Sym.orbit_min maps k in
+        if not (String.equal (Sym.orbit_min maps m) m) then
           Alcotest.failf "%s/%s: orbit_min is not idempotent" name M.name;
-        List.iter
+        Array.iter
           (fun p ->
-            if not (M.equal (orbit_min g (M.permute p k)) m) then
+            if not (String.equal (Sym.orbit_min maps (Sym.permute p k)) m)
+            then
               Alcotest.failf
                 "%s/%s: orbit_min differs across one orbit" name M.name)
-          g.Sym.perms)
+          maps)
       seen
 end
 
@@ -111,6 +102,212 @@ let test_group_orders () =
   Alcotest.(check int) "iriw group order" 2 (order "iriw");
   Alcotest.(check int) "big3 group order" 3 (order "big3");
   Alcotest.(check int) "big4 group order" 4 (order "big4")
+
+(* --- packed-key faithfulness --------------------------------------------
+
+   Every machine (and the SC semantics) must pack states into keys that
+   keep exactly what the future depends on: equal keys mean equal
+   outcomes and equal successor-key sets, a written 0 is not an unwritten
+   slot, and compiled automorphisms act on keys the way the group acts on
+   states. *)
+
+module type KEYED = sig
+  type state
+
+  val name : string
+  val initial : Prog.t -> state
+  val successors : Prog.t -> state -> state list
+  val final : Prog.t -> state -> Final.t option
+  val layout : Prog.t -> Layout.t
+  val canon : Layout.t -> state -> string
+end
+
+module Keyed (M : Machine_sig.MACHINE) = struct
+  include M
+
+  let layout prog = Layout.cached prog M.shape
+end
+
+module Sc_keyed = struct
+  type state = Sem.state
+
+  let name = "sc"
+  let initial = Sem.initial
+
+  let successors prog st =
+    List.filter_map (Sem.step prog st)
+      (List.init (Prog.num_threads prog) Fun.id)
+
+  let final prog st =
+    if Sem.all_done prog st then Some (Sem.final_of_state st) else None
+
+  let layout = Sem.layout
+  let canon = Sem.key
+end
+
+module Faithful (M : KEYED) = struct
+  module H = Hashtbl.Make (String)
+
+  (* Raw BFS from the initial state, capped at [cap] keys.  Every state
+     met — new or a repeat of a recorded key — has its final and
+     successor-key set computed; a repeat must agree with the record.
+     Returns the table and whether the sweep saw the whole graph. *)
+  let sweep label prog cap =
+    let layout = M.layout prog in
+    let tbl = H.create 256 in
+    let q = Queue.create () in
+    let complete = ref true in
+    let visit st =
+      let k = M.canon layout st in
+      let succs = M.successors prog st in
+      let keys =
+        List.sort_uniq String.compare (List.map (M.canon layout) succs)
+      in
+      let final = M.final prog st in
+      match H.find_opt tbl k with
+      | Some (final0, keys0) ->
+          if not (Option.equal Final.equal final final0) then
+            Alcotest.failf "%s/%s: equal keys, different finals" label M.name;
+          if keys <> keys0 then
+            Alcotest.failf "%s/%s: equal keys, different successor keys" label
+              M.name
+      | None ->
+          if H.length tbl >= cap then complete := false
+          else begin
+            H.add tbl k (final, keys);
+            List.iter (fun s -> Queue.push s q) succs
+          end
+    in
+    visit (M.initial prog);
+    while not (Queue.is_empty q) do
+      visit (Queue.pop q)
+    done;
+    (layout, tbl, !complete)
+
+  (* On a complete sweep, each compiled automorphism maps the keyed graph
+     onto itself: the image of a reachable key is reachable, its
+     successor keys are the images of the successor keys, and its final
+     is the image of the final. *)
+  let check_group label prog layout tbl =
+    let g = Sym.of_prog prog in
+    List.iter2
+      (fun pi m ->
+        H.iter
+          (fun k (final, keys) ->
+            match H.find_opt tbl (Sym.permute m k) with
+            | None ->
+                Alcotest.failf "%s/%s: image of a reachable key is unreachable"
+                  label M.name
+            | Some (final', keys') ->
+                if
+                  not
+                    (Option.equal Final.equal final'
+                       (Option.map (Sym.apply_final pi) final))
+                then
+                  Alcotest.failf "%s/%s: image key, non-image final" label
+                    M.name;
+                let image =
+                  List.sort_uniq String.compare (List.map (Sym.permute m) keys)
+                in
+                if keys' <> image then
+                  Alcotest.failf "%s/%s: image key, non-image successors" label
+                    M.name)
+          tbl)
+      g.Sym.perms
+      (Array.to_list (Sym.compile layout g))
+
+  let check label prog =
+    let layout, tbl, complete = sweep label prog 3000 in
+    if complete then check_group label prog layout tbl
+
+  (* A written 0 and an unwritten slot pack differently: memory (a
+     location initialised to 0 vs. one left out of the init list) and a
+     register (an await that binds its register vs. one that does not,
+     the register being written later either way so the layouts match;
+     the later read is of the same location, so even the out-of-order
+     machine fires the await first). *)
+  let check_written_zero () =
+    let key_of prog st =
+      let l = M.layout prog in
+      M.canon l st
+    in
+    let load = [ [ Instr.read "x" "r0" ] ] in
+    let with_init = Prog.make ~name:"z" ~init:[ ("x", 0) ] load in
+    let without = Prog.make ~name:"z" load in
+    if
+      String.equal
+        (key_of with_init (M.initial with_init))
+        (key_of without (M.initial without))
+    then
+      Alcotest.failf "%s: location written 0 packs like an unwritten one"
+        M.name;
+    let await reg =
+      Prog.make ~name:"z"
+        [
+          [
+            Instr.Await { kind = Instr.Data; loc = "x"; expect = 0; reg };
+            Instr.read "x" "r0";
+          ];
+        ]
+    in
+    let bound = await (Some "r0") and unbound = await None in
+    let after prog =
+      match M.successors prog (M.initial prog) with
+      | [ st ] -> key_of prog st
+      | _ -> Alcotest.failf "%s: expected one successor of the await" M.name
+    in
+    if String.equal (after bound) (after unbound) then
+      Alcotest.failf "%s: register written 0 packs like an unwritten one" M.name
+end
+
+let keyed : (module KEYED) list =
+  [
+    (module Sc_keyed);
+    (module Keyed (M_wbuf));
+    (module Keyed (M_ooo));
+    (module Keyed (M_def1));
+    (module Keyed (M_def2.Base));
+    (module Keyed (M_def2.Read_sync_relaxed));
+    (module Keyed (M_rp3));
+    (module Keyed (M_rc));
+  ]
+
+let faithfulness_corpus () =
+  List.map (fun e -> e.Litmus_classics.prog) Litmus_classics.all
+  @ List.concat_map
+      (fun profile ->
+        let config = { Litmus_gen.default_config with Litmus_gen.profile } in
+        List.init 500 (fun seed -> Litmus_gen.generate ~config seed))
+      Litmus_gen.all_profiles
+
+let test_key_faithfulness () =
+  let corpus = faithfulness_corpus () in
+  List.iter
+    (fun (module M : KEYED) ->
+      let module F = Faithful (M) in
+      F.check_written_zero ();
+      List.iter (fun prog -> F.check (Prog.name prog) prog) corpus)
+    keyed
+
+(* A value or counter the layout cannot hold raises; it is never
+   truncated into a key that collides with a real one. *)
+let test_key_range () =
+  let prog =
+    Prog.make ~name:"r" [ [ Instr.write "x" 1; Instr.read "x" "r0" ] ]
+  in
+  let l = Sem.layout prog in
+  let raises f =
+    match f (Layout.create l) with
+    | () -> false
+    | exception Failure _ -> true
+  in
+  let mem x v b = Layout.set_memory l b (Exp.Smap.singleton x v) in
+  Alcotest.(check bool) "value out of range" true (raises (mem "x" 1_000_000));
+  Alcotest.(check bool) "counter out of range" true
+    (raises (fun b -> Layout.set_counter l b 0 0 256));
+  Alcotest.(check bool) "unknown register" true
+    (raises (fun b -> Layout.set_regs l b 0 (Exp.Smap.singleton "r9" 0)));
+  Alcotest.(check bool) "values in range fit" false (raises (mem "x" (-1)))
 
 (* --- sym / no-sym differential --------------------------------------- *)
 
@@ -276,6 +473,10 @@ let suite =
       Alcotest.test_case "group orders" `Quick test_group_orders;
       Alcotest.test_case "orbit canonicalization properties" `Slow
         test_orbit_properties;
+      Alcotest.test_case "packed keys are faithful" `Slow
+        test_key_faithfulness;
+      Alcotest.test_case "packed keys refuse out-of-range values" `Quick
+        test_key_range;
       Alcotest.test_case "differential on classics" `Quick
         test_differential_classics;
       Alcotest.test_case "differential on generated programs" `Slow
