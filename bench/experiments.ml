@@ -156,7 +156,7 @@ let fig3 () =
       let r = Sim_run.run policy w in
       Fmt.pr "%s:@.%a@." (Cpu.policy_name policy)
         (Sim_trace.pp_timeline ~width:72)
-        r.Sim_run.trace)
+        (Sim_trace.events r.Sim_run.trace))
     [ Cpu.Def1; Cpu.Def2 ]
 
 (* --- E4: Section 6, Definition-1 hardware is weakly ordered ----------------- *)
@@ -328,7 +328,7 @@ let appendix () =
     (fun (name, w) ->
       let count policy =
         let r = Sim_run.run policy w in
-        List.length (Sim_trace.check_all r.Sim_run.trace)
+        List.length (Sim_trace.check_all (Sim_trace.events r.Sim_run.trace))
       in
       Fmt.pr "  %-10s def2 violations=%d   def2-without-reserve violations=%d@."
         name (count Cpu.Def2) (count Cpu.Def2_noresv))

@@ -125,6 +125,9 @@ type json_entry = {
   e_total_cycles : int;  (* sim rows: simulated completion time *)
   e_finals_crc : int;  (* sim rows: crc32 of the settled memory image *)
   e_stalls_crc : int;  (* sim rows: crc32 of the stall-attribution table *)
+  e_minor_words : int;
+      (* sim rows: words the run allocated on the minor heap — fixed for a
+         given binary, unlike its wall time *)
 }
 
 let entry_default =
@@ -153,6 +156,7 @@ let entry_default =
     e_total_cycles = 0;
     e_finals_crc = 0;
     e_stalls_crc = 0;
+    e_minor_words = 0;
   }
 
 let per_sec states ms = if ms <= 0. then 0 else
@@ -531,7 +535,13 @@ let json_sim_entries () =
       Sim_config.make ~sanitize:false ~park_spins:(not naive)
         ~batch_events:(not naive) ()
     in
-    let r, ms = wall (fun () -> Sim_run.run ~cfg policy (gen nprocs)) in
+    let (r, minor_words), ms =
+      wall (fun () ->
+          let w = gen nprocs in
+          let minor0 = Gc.minor_words () in
+          let r = Sim_run.run ~cfg policy w in
+          (r, int_of_float (Gc.minor_words () -. minor0)))
+    in
     Fmt.pr "sim %-9s %-12s n=%-3d %8d events %7d cycles %8.1f ms@." name label
       nprocs r.Sim_run.events r.Sim_run.total_cycles ms;
     {
@@ -546,6 +556,7 @@ let json_sim_entries () =
       e_total_cycles = r.Sim_run.total_cycles;
       e_finals_crc = finals_crc r.Sim_run.finals;
       e_stalls_crc = stalls_crc r.Sim_run.stalls;
+      e_minor_words = minor_words;
     }
   in
   let policies = [ (Cpu.Def1, "def1"); (Cpu.Def2_rs, "def2-rs") ] in
@@ -621,9 +632,9 @@ let write_json ?out entries =
     | "sim" ->
         Printf.sprintf
           "{%s, \"events\": %d, \"events_per_sec\": %d, \"total_cycles\": %d, \
-           \"finals_crc\": %d, \"stalls_crc\": %d}"
+           \"finals_crc\": %d, \"stalls_crc\": %d, \"minor_words\": %d}"
           common e.e_states e.e_states_per_sec e.e_total_cycles e.e_finals_crc
-          e.e_stalls_crc
+          e.e_stalls_crc e.e_minor_words
     | _ ->
         Printf.sprintf
           "{%s, \"states_expanded\": %d, \"outcomes\": %d, \

@@ -47,5 +47,5 @@ let () =
     (fun policy ->
       let r = Sim_run.run policy w in
       Fmt.pr "%s:@.%a@." (Cpu.policy_name policy) (Sim_trace.pp_timeline ~width:72)
-        r.Sim_run.trace)
+        (Sim_trace.events r.Sim_run.trace))
     [ Cpu.Def1; Cpu.Def2 ]

@@ -42,10 +42,10 @@ type obs = {
 
 (* Stall-cause tags used by the {!Obs.Stall} attribution table.  Shared
    constants so the bench, the CLI and the tests agree on spelling. *)
-let cause_counter = "counter-nonzero"
-let cause_gp = "gp-wait"
-let cause_acquire = "acquire"
-let cause_read = "read-miss"
+let cause_counter = Proto.cause_name Proto.Counter_nonzero
+let cause_gp = Proto.cause_name Proto.Gp_wait
+let cause_acquire = Proto.cause_name Proto.Acquire
+let cause_read = Proto.cause_name Proto.Read_miss
 
 type proc_stats = {
   mutable finish : int;  (** cycle at which the thread's last op completed *)
@@ -81,147 +81,147 @@ type ctx = {
   policy : policy;
   stats : proc_stats array;
   mutable observations : obs list;
-  mutable trace : Sim_trace.ev list;
-  op_seq : int array;  (** per-processor operation sequence numbers *)
+  trace : Sim_trace.log;
   obs : Obs.t;
-  stalls : Obs.Stall.t;
 }
 
 (* Emit the op-lifecycle span once the policy releases the processor.
    [t0] is the generation time; the cause tag names the dominant reason
    the processor was held (or [""] for an unstalled op). *)
-let op_span ctx proc ~name ~loc ~t0 ~cause =
+let op_span ctx proc ~name ~line ~t0 ~cause =
   Obs.span ctx.obs ~cat:"op" ~name ~tid:proc ~ts:t0
-    ~dur:(Engine.now ctx.eng - t0) ~loc ~cause
+    ~dur:(Engine.now ctx.eng - t0)
+    ~loc:(Proto.line_name ctx.proto line)
+    ~cause
 
-let stall ctx proc ~cause ~loc ~cycles =
-  Obs.Stall.add ctx.stalls ~tid:proc ~cause ~loc ~cycles
+let stall ctx proc ~cause ~line ~cycles =
+  Proto.stall ctx.proto ~proc ~cause ~line ~cycles
 
 (* Record an operation in the trace at its generation point; commit and
-   globally-performed times are filled in by the protocol callbacks. *)
-let record ctx proc ~sync ~reads ~writes loc =
-  let eidx = ctx.op_seq.(proc) in
-  ctx.op_seq.(proc) <- eidx + 1;
-  let ev =
-    Sim_trace.make ~ep:proc ~eidx ~sync ~reads ~writes ~eloc:loc
-      ~egen:(Engine.now ctx.eng)
-  in
-  ctx.trace <- ev :: ctx.trace;
-  ev
+   globally-performed times are filled in by the protocol callbacks,
+   through the returned row. *)
+let record ctx proc ~sync ~reads ~writes line =
+  Sim_trace.record ctx.trace ~proc ~sync ~reads ~writes ~line
+    ~gen:(Engine.now ctx.eng)
 
-let observe ctx proc tag loc value =
+let commit_now ctx row = Sim_trace.set_commit ctx.trace row (Engine.now ctx.eng)
+let gp_now ctx row () = Sim_trace.set_gp ctx.trace row (Engine.now ctx.eng)
+
+let observe ctx proc tag line value =
   ctx.observations <-
-    { o_proc = proc; o_tag = tag; o_loc = loc; o_value = value; o_time = Engine.now ctx.eng }
+    {
+      o_proc = proc;
+      o_tag = tag;
+      o_loc = Proto.line_name ctx.proto line;
+      o_value = value;
+      o_time = Engine.now ctx.eng;
+    }
     :: ctx.observations
 
 (* --- policy-specific wrappers -------------------------------------------- *)
 
-let data_read ctx proc loc k =
+let data_read ctx proc line k =
   let t0 = Engine.now ctx.eng in
-  let ev = record ctx proc ~sync:false ~reads:true ~writes:false loc in
-  Proto.read ctx.proto ~proc ~loc
-    ~on_gp:(fun () -> ev.Sim_trace.egp <- Engine.now ctx.eng)
-    ~k:(fun v ->
-      ev.Sim_trace.ecommit <- Engine.now ctx.eng;
+  let row = record ctx proc ~sync:false ~reads:true ~writes:false line in
+  Proto.read ctx.proto ~proc ~line ~on_gp:(gp_now ctx row) ~k:(fun v ->
+      commit_now ctx row;
       ctx.stats.(proc).stall_read <-
         ctx.stats.(proc).stall_read + (Engine.now ctx.eng - t0);
       let missed =
         Engine.now ctx.eng - t0 - ctx.cfg.Sim_config.cache_hit
       in
-      stall ctx proc ~cause:cause_read ~loc ~cycles:missed;
-      op_span ctx proc ~name:"R" ~loc ~t0
+      stall ctx proc ~cause:Proto.Read_miss ~line ~cycles:missed;
+      op_span ctx proc ~name:"R" ~line ~t0
         ~cause:(if missed > 0 then cause_read else "");
       k v)
 
 (* Data write: SC waits for global performance; the weak policies move on
    as soon as the write is handed to the memory system. *)
-let data_write ctx proc loc value k =
-  let ev = record ctx proc ~sync:false ~reads:false ~writes:true loc in
-  let on_commit _ = ev.Sim_trace.ecommit <- Engine.now ctx.eng in
-  let on_gp () = ev.Sim_trace.egp <- Engine.now ctx.eng in
+let data_write ctx proc line value k =
+  let row = record ctx proc ~sync:false ~reads:false ~writes:true line in
+  let on_commit _ = commit_now ctx row in
+  let on_gp = gp_now ctx row in
   match ctx.policy with
   | Sc ->
       let t0 = Engine.now ctx.eng in
-      Proto.modify ctx.proto ~proc ~loc ~f:(fun _ -> value) ~on_gp
+      Proto.modify ctx.proto ~proc ~line ~f:(fun _ -> value) ~on_gp
         ~on_commit:(fun old ->
           on_commit old;
           Proto.when_counter_zero ctx.proto proc (fun () ->
               let waited = Engine.now ctx.eng - t0 in
               ctx.stats.(proc).stall_sync_gp <-
                 ctx.stats.(proc).stall_sync_gp + waited;
-              stall ctx proc ~cause:cause_gp ~loc ~cycles:waited;
-              op_span ctx proc ~name:"W" ~loc ~t0
+              stall ctx proc ~cause:Proto.Gp_wait ~line ~cycles:waited;
+              op_span ctx proc ~name:"W" ~line ~t0
                 ~cause:(if waited > 0 then cause_gp else "");
               k ()))
   | Def1 | Def2 | Def2_rs | Def2_noresv ->
       let t0 = Engine.now ctx.eng in
-      Proto.modify ctx.proto ~proc ~loc ~f:(fun _ -> value) ~on_gp ~on_commit;
+      Proto.modify ctx.proto ~proc ~line ~f:(fun _ -> value) ~on_gp ~on_commit;
       Engine.schedule ctx.eng ~delay:1 (fun () ->
-          op_span ctx proc ~name:"W" ~loc ~t0 ~cause:"";
+          op_span ctx proc ~name:"W" ~line ~t0 ~cause:"";
           k ())
 
 (* A synchronization operation that acquires the line exclusive (sync
    write, TAS, FADD — and, for Def2 base, sync reads too).  [reads] and
    [writes] record the *architectural* classification for the trace.
    [k old] runs when the policy lets the processor continue. *)
-let sync_modify ctx proc loc ~reads ~writes f k =
+let sync_modify ctx proc line ~reads ~writes f k =
   let st = ctx.stats.(proc) in
-  let ev = record ctx proc ~sync:true ~reads ~writes loc in
-  let on_gp () = ev.Sim_trace.egp <- Engine.now ctx.eng in
-  let commit () = ev.Sim_trace.ecommit <- Engine.now ctx.eng in
+  let row = record ctx proc ~sync:true ~reads ~writes line in
+  let on_gp = gp_now ctx row in
+  let commit () = commit_now ctx row in
   let name =
     if reads && writes then "Srmw" else if writes then "Sw" else "Sr"
   in
   match ctx.policy with
   | Sc ->
       let t0 = Engine.now ctx.eng in
-      Proto.modify ctx.proto ~proc ~loc ~f ~on_gp ~on_commit:(fun old ->
+      Proto.modify ctx.proto ~proc ~line ~f ~on_gp ~on_commit:(fun old ->
           commit ();
           Proto.when_counter_zero ctx.proto proc (fun () ->
               let waited = Engine.now ctx.eng - t0 in
               st.stall_sync_gp <- st.stall_sync_gp + waited;
-              stall ctx proc ~cause:cause_gp ~loc ~cycles:waited;
-              op_span ctx proc ~name ~loc ~t0 ~cause:cause_gp;
+              stall ctx proc ~cause:Proto.Gp_wait ~line ~cycles:waited;
+              op_span ctx proc ~name ~line ~t0 ~cause:cause_gp;
               k old))
   | Def1 ->
       let t0 = Engine.now ctx.eng in
       Proto.when_counter_zero ctx.proto proc (fun () ->
           let drained = Engine.now ctx.eng - t0 in
           st.stall_pre_sync <- st.stall_pre_sync + drained;
-          stall ctx proc ~cause:cause_counter ~loc ~cycles:drained;
+          stall ctx proc ~cause:Proto.Counter_nonzero ~line ~cycles:drained;
           let t1 = Engine.now ctx.eng in
-          Proto.modify ctx.proto ~proc ~loc ~f ~on_gp ~on_commit:(fun old ->
+          Proto.modify ctx.proto ~proc ~line ~f ~on_gp ~on_commit:(fun old ->
               commit ();
               Proto.when_counter_zero ctx.proto proc (fun () ->
                   let waited = Engine.now ctx.eng - t1 in
                   st.stall_sync_gp <- st.stall_sync_gp + waited;
-                  stall ctx proc ~cause:cause_gp ~loc ~cycles:waited;
-                  op_span ctx proc ~name ~loc ~t0
+                  stall ctx proc ~cause:Proto.Gp_wait ~line ~cycles:waited;
+                  op_span ctx proc ~name ~line ~t0
                     ~cause:(if drained > 0 then cause_counter else cause_gp);
                   k old)))
   | Def2 | Def2_rs | Def2_noresv ->
       let t0 = Engine.now ctx.eng in
-      Proto.modify ctx.proto ~proc ~loc ~f ~on_gp ~on_commit:(fun old ->
+      Proto.modify ctx.proto ~proc ~line ~f ~on_gp ~on_commit:(fun old ->
           commit ();
           let waited = Engine.now ctx.eng - t0 in
           st.stall_acquire <- st.stall_acquire + waited;
-          stall ctx proc ~cause:cause_acquire ~loc ~cycles:waited;
-          op_span ctx proc ~name ~loc ~t0
+          stall ctx proc ~cause:Proto.Acquire ~line ~cycles:waited;
+          op_span ctx proc ~name ~line ~t0
             ~cause:(if waited > 0 then cause_acquire else "");
           if ctx.policy <> Def2_noresv then
-            Proto.reserve_if_outstanding ctx.proto ~proc ~loc;
+            Proto.reserve_if_outstanding ctx.proto ~proc ~line;
           k old)
 
 (* A read-only synchronization operation. *)
-let sync_read ctx proc loc k =
+let sync_read ctx proc line k =
   let st = ctx.stats.(proc) in
   let plain_read stall_field =
     let t0 = Engine.now ctx.eng in
-    let ev = record ctx proc ~sync:true ~reads:true ~writes:false loc in
-    Proto.read ctx.proto ~proc ~loc
-      ~on_gp:(fun () -> ev.Sim_trace.egp <- Engine.now ctx.eng)
-      ~k:(fun v ->
-        ev.Sim_trace.ecommit <- Engine.now ctx.eng;
+    let row = record ctx proc ~sync:true ~reads:true ~writes:false line in
+    Proto.read ctx.proto ~proc ~line ~on_gp:(gp_now ctx row) ~k:(fun v ->
+        commit_now ctx row;
         let stalled =
           max 0 (Engine.now ctx.eng - t0 - ctx.cfg.Sim_config.cache_hit)
         in
@@ -229,14 +229,14 @@ let sync_read ctx proc loc k =
           match stall_field with
           | `Gp ->
               st.stall_sync_gp <- st.stall_sync_gp + stalled;
-              cause_gp
+              Proto.Gp_wait
           | `Acquire ->
               st.stall_acquire <- st.stall_acquire + stalled;
-              cause_acquire
+              Proto.Acquire
         in
-        stall ctx proc ~cause ~loc ~cycles:stalled;
-        op_span ctx proc ~name:"Sr" ~loc ~t0
-          ~cause:(if stalled > 0 then cause else "");
+        stall ctx proc ~cause ~line ~cycles:stalled;
+        op_span ctx proc ~name:"Sr" ~line ~t0
+          ~cause:(if stalled > 0 then Proto.cause_name cause else "");
         k v)
   in
   match ctx.policy with
@@ -246,13 +246,13 @@ let sync_read ctx proc loc k =
       Proto.when_counter_zero ctx.proto proc (fun () ->
           let drained = Engine.now ctx.eng - t0 in
           st.stall_pre_sync <- st.stall_pre_sync + drained;
-          stall ctx proc ~cause:cause_counter ~loc ~cycles:drained;
+          stall ctx proc ~cause:Proto.Counter_nonzero ~line ~cycles:drained;
           plain_read `Gp)
   | Def2 | Def2_noresv ->
       (* Base implementation: all sync operations are treated as writes by
          the coherence protocol — even a Test acquires the line exclusive
          and is serialized (the Section 6 performance complaint). *)
-      sync_modify ctx proc loc ~reads:true ~writes:false (fun v -> v) k
+      sync_modify ctx proc line ~reads:true ~writes:false (fun v -> v) k
   | Def2_rs ->
       (* Refinement: a read-only sync is a coherent read; it honours
          reservations at the owner (acquire side) but places none. *)
@@ -299,21 +299,20 @@ type spin_kind = Spin_data | Spin_sync | Lock_retry
 (* One skipped iteration's bookkeeping, issued at [t]: exactly what the
    live hit path records, with the clock terms evaluated in closed form
    ([Engine.now] at issue is [t]; the check runs at [t + cache_hit]). *)
-let replay_iter ctx proc loc kind ~t =
+let replay_iter ctx proc line kind ~t =
   let ch = ctx.cfg.Sim_config.cache_hit in
   let st = ctx.stats.(proc) in
   let record_at ~sync ~reads ~writes =
-    let eidx = ctx.op_seq.(proc) in
-    ctx.op_seq.(proc) <- eidx + 1;
-    let ev =
-      Sim_trace.make ~ep:proc ~eidx ~sync ~reads ~writes ~eloc:loc ~egen:t
+    let row =
+      Sim_trace.record ctx.trace ~proc ~sync ~reads ~writes ~line ~gen:t
     in
-    ev.Sim_trace.ecommit <- t + ch;
-    ev.Sim_trace.egp <- t + ch;
-    ctx.trace <- ev :: ctx.trace
+    Sim_trace.set_commit ctx.trace row (t + ch);
+    Sim_trace.set_gp ctx.trace row (t + ch)
   in
   let span name cause =
-    Obs.span ctx.obs ~cat:"op" ~name ~tid:proc ~ts:t ~dur:ch ~loc ~cause
+    Obs.span ctx.obs ~cat:"op" ~name ~tid:proc ~ts:t ~dur:ch
+      ~loc:(Proto.line_name ctx.proto line)
+      ~cause
   in
   match (kind, ctx.policy) with
   | Spin_data, _ ->
@@ -333,31 +332,31 @@ let replay_iter ctx proc loc kind ~t =
          cache-hit commit latency is charged as acquire stall. *)
       record_at ~sync:true ~reads:true ~writes:false;
       st.stall_acquire <- st.stall_acquire + ch;
-      stall ctx proc ~cause:cause_acquire ~loc ~cycles:ch;
+      stall ctx proc ~cause:Proto.Acquire ~line ~cycles:ch;
       span "Sr" (if ch > 0 then cause_acquire else "");
       st.spin_iters <- st.spin_iters + 1
   | Lock_retry, (Def2 | Def2_rs | Def2_noresv) ->
       record_at ~sync:true ~reads:true ~writes:true;
       st.stall_acquire <- st.stall_acquire + ch;
-      stall ctx proc ~cause:cause_acquire ~loc ~cycles:ch;
+      stall ctx proc ~cause:Proto.Acquire ~line ~cycles:ch;
       span "Srmw" (if ch > 0 then cause_acquire else "");
       st.lock_retries <- st.lock_retries + 1
   | Lock_retry, (Sc | Def1) ->
       (* both charge the commit-to-continue wait as sync-gp stall. *)
       record_at ~sync:true ~reads:true ~writes:true;
       st.stall_sync_gp <- st.stall_sync_gp + ch;
-      stall ctx proc ~cause:cause_gp ~loc ~cycles:ch;
+      stall ctx proc ~cause:Proto.Gp_wait ~line ~cycles:ch;
       span "Srmw" cause_gp;
       st.lock_retries <- st.lock_retries + 1
 
-let park_eligible ctx proc loc kind =
+let park_eligible ctx proc line kind =
   let cfg = ctx.cfg in
   cfg.Sim_config.park_spins
   && cfg.Sim_config.cache_hit + cfg.Sim_config.spin_interval > 0
   && Proto.counter ctx.proto proc = 0
-  && (not (Proto.line_gp_pending ctx.proto proc loc))
+  && (not (Proto.line_gp_pending ctx.proto proc line))
   &&
-  match Proto.line_state ctx.proto proc loc with
+  match Proto.line_state ctx.proto proc line with
   | Proto.M -> true
   | Proto.S -> (
       match kind with
@@ -373,8 +372,8 @@ let park_eligible ctx proc loc kind =
    is the live iteration body (the spin loop's own function).  Runs at the
    point where the failed check would have called {!spin_delay}, so the
    next iteration issues [spin_interval] cycles from now. *)
-let spin_or_park ctx proc loc kind resume =
-  if not (park_eligible ctx proc loc kind) then spin_delay ctx resume
+let spin_or_park ctx proc line kind resume =
+  if not (park_eligible ctx proc line kind) then spin_delay ctx resume
   else begin
     let si = ctx.cfg.Sim_config.spin_interval in
     let period = ctx.cfg.Sim_config.cache_hit + si in
@@ -382,14 +381,14 @@ let spin_or_park ctx proc loc kind resume =
     let next = ref (Engine.now ctx.eng + si) in
     let awake = ref false in
     let replay () =
-      replay_iter ctx proc loc kind ~t:!next;
+      replay_iter ctx proc line kind ~t:!next;
       next := !next + period
     in
     let ka = ref None in
     let wake () =
       if not !awake then begin
         awake := true;
-        Proto.unwatch_line ctx.proto ~proc ~loc;
+        Proto.unwatch_line ctx.proto ~proc;
         (match !ka with Some h -> Engine.cancel h | None -> ());
         let tw = Engine.now ctx.eng in
         while !next < tw do
@@ -431,7 +430,7 @@ let spin_or_park ctx proc loc kind resume =
                done;
                keepalive ()))
     in
-    Proto.watch_line ctx.proto ~proc ~loc wake;
+    Proto.watch_line ctx.proto ~proc ~line wake;
     keepalive ()
   end
 

@@ -9,7 +9,8 @@
     reserve bits), and [Def2_rs] adds the Section 6 read-only-sync
     refinement.  Every wrapper records the operation in the architectural
     trace, emits an {!Obs} lifecycle span, and attributes stalled cycles
-    to a cause in the context's {!Obs.Stall} table. *)
+    to a cause in the protocol's stall table ({!Proto.stall}).  Locations
+    are line ids of the context's protocol instance. *)
 
 type policy =
   | Sc
@@ -31,8 +32,9 @@ val ablation_policies : policy list
 
 (** {1 Stall-cause tags}
 
-    The spellings used in the {!Obs.Stall} attribution table; shared
-    constants so the bench, the CLI and the tests agree. *)
+    The spellings used in the {!Obs.Stall} attribution table (the names
+    of the {!Proto.stall_cause} values); shared constants so the bench,
+    the CLI and the tests agree. *)
 
 val cause_counter : string
 (** ["counter-nonzero"]: Definition-1 condition 2 — waiting for the
@@ -83,16 +85,15 @@ type ctx = {
   policy : policy;  (** issue policy for every processor *)
   stats : proc_stats array;  (** per-processor aggregates *)
   mutable observations : obs list;  (** tagged reads, newest first *)
-  mutable trace : Sim_trace.ev list;  (** architectural trace, newest first *)
-  op_seq : int array;  (** per-processor operation sequence numbers *)
+  trace : Sim_trace.log;  (** architectural trace, generation order *)
   obs : Obs.t;  (** event tracer ({!Obs.null} to disable) *)
-  stalls : Obs.Stall.t;  (** stall-cycle attribution table *)
 }
 (** Everything a processor model needs to interpret a thread. *)
 
-val exec_thread : ctx -> int -> Workload.op list -> (unit -> unit) -> unit
-(** Run a thread's operations in order; the continuation fires when the
-    last completes (by the policy's notion of completion). *)
+val exec_thread : ctx -> int -> int Workload.op_on list -> (unit -> unit) -> unit
+(** Run a thread's operations, over line ids, in order; the continuation
+    fires when the last completes (by the policy's notion of
+    completion). *)
 
 (** {1 Per-operation wrappers}
 
@@ -100,18 +101,18 @@ val exec_thread : ctx -> int -> Workload.op list -> (unit -> unit) -> unit
     other interpreters (e.g. [Sim_litmus], which runs [Prog.t] litmus
     tests on the timing simulator). *)
 
-val data_read : ctx -> int -> string -> (int -> unit) -> unit
-(** [data_read ctx proc loc k]: an ordinary read; [k v] runs with the
+val data_read : ctx -> int -> int -> (int -> unit) -> unit
+(** [data_read ctx proc line k]: an ordinary read; [k v] runs with the
     value once it returns (all policies block on data reads). *)
 
-val data_write : ctx -> int -> string -> int -> (unit -> unit) -> unit
+val data_write : ctx -> int -> int -> int -> (unit -> unit) -> unit
 (** An ordinary write; SC waits for global performance, the weak
     policies continue one cycle after handing it to the memory system. *)
 
 val sync_modify :
   ctx ->
   int ->
-  string ->
+  int ->
   reads:bool ->
   writes:bool ->
   (int -> int) ->
@@ -121,7 +122,7 @@ val sync_modify :
     the continuation receives the old value when the policy lets the
     processor continue. *)
 
-val sync_read : ctx -> int -> string -> (int -> unit) -> unit
+val sync_read : ctx -> int -> int -> (int -> unit) -> unit
 (** A read-only synchronization operation — an exclusive acquisition
     under base Def2, a coherent read under [Def2_rs]. *)
 

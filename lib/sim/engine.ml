@@ -132,7 +132,10 @@ let schedule t ~delay f =
 
 (* A cancellable event never becomes a merge target (and never merges into
    one): cancellation must affect exactly the one thunk it was issued for,
-   and a cancelled cell must not swallow later same-cycle schedules. *)
+   and a cancelled cell must not swallow later same-cycle schedules.  It
+   also clears the merge target: the older [last] cell now has a smaller
+   seq than this one, so a later same-cycle schedule merged into it would
+   run before this thunk instead of after it. *)
 let schedule_cancellable t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   let c =
@@ -146,6 +149,7 @@ let schedule_cancellable t ~delay f =
   in
   t.seq <- t.seq + 1;
   push t c;
+  t.last <- None;
   c
 
 let cancel c = c.cancelled <- true

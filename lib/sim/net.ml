@@ -43,14 +43,15 @@ type t = {
   cfg : Sim_config.t;
   eng : Engine.t;
   fault : Fault.t option;
-  chans : (string, chan) Hashtbl.t;
+  chans : chan array;  (** indexed by line id *)
+  names : string array;  (** line id -> location, for trace events *)
   stats : stats;
   mutable on_delivery : unit -> unit;
       (** monitor hook, run after each delivered message's effects *)
   obs : Obs.t;
 }
 
-let create ?(obs = Obs.null) cfg eng =
+let create ?(obs = Obs.null) ~names cfg eng =
   {
     cfg;
     eng;
@@ -59,7 +60,18 @@ let create ?(obs = Obs.null) cfg eng =
       Option.map
         (fun profile -> Fault.create ~profile cfg.Sim_config.fault_seed)
         cfg.Sim_config.faults;
-    chans = Hashtbl.create 16;
+    chans =
+      Array.map
+        (fun _ ->
+          {
+            next_send = 0;
+            next_deliver = 0;
+            arrived = Hashtbl.create 4;
+            undelivered = 0;
+            last_time = 0;
+          })
+        names;
+    names;
     stats =
       { sent = 0; delivered = 0; retransmits = 0; dups_suppressed = 0; reorders = 0 };
     on_delivery = (fun () -> ());
@@ -69,54 +81,46 @@ let stats t = t.stats
 let fault_counts t = Option.map Fault.counts t.fault
 let set_monitor t f = t.on_delivery <- f
 
-let chan_of t line =
-  match Hashtbl.find_opt t.chans line with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          next_send = 0;
-          next_deliver = 0;
-          arrived = Hashtbl.create 4;
-          undelivered = 0;
-          last_time = 0;
-        }
-      in
-      Hashtbl.add t.chans line c;
-      c
+let line_quiescent t line = t.chans.(line).undelivered = 0
 
-let line_quiescent t line =
-  match Hashtbl.find_opt t.chans line with
-  | None -> true
-  | Some c -> c.undelivered = 0
+(* Hand the message at the head of the sequence to the protocol.  Delivery
+   times on one line are strictly increasing (the [last_time] floor), so
+   events that raced through the network still commit in distinguishable
+   cycles. *)
+let deliver t chan f =
+  chan.next_deliver <- chan.next_deliver + 1;
+  t.stats.delivered <- t.stats.delivered + 1;
+  let now = Engine.now t.eng in
+  let time = max now (chan.last_time + 1) in
+  chan.last_time <- time;
+  Engine.schedule t.eng ~delay:(time - now) (fun () ->
+      chan.undelivered <- chan.undelivered - 1;
+      f ();
+      t.on_delivery ())
 
-(* Deliver everything at the head of the sequence.  Delivery times on one
-   line are strictly increasing (the [last_time] floor), so events that
-   raced through the network still commit in distinguishable cycles. *)
+(* Deliver the buffered messages that are now at the head of the
+   sequence. *)
 let rec drain t chan =
   match Hashtbl.find_opt chan.arrived chan.next_deliver with
   | None -> ()
   | Some f ->
       Hashtbl.remove chan.arrived chan.next_deliver;
-      chan.next_deliver <- chan.next_deliver + 1;
-      t.stats.delivered <- t.stats.delivered + 1;
-      let now = Engine.now t.eng in
-      let time = max now (chan.last_time + 1) in
-      chan.last_time <- time;
-      Engine.schedule t.eng ~delay:(time - now) (fun () ->
-          chan.undelivered <- chan.undelivered - 1;
-          f ();
-          t.on_delivery ());
+      deliver t chan f;
       drain t chan
 
-(* An attempt of message [seq] reaches the receiver. *)
+(* An attempt of message [seq] reaches the receiver.  The head of the
+   sequence is never buffered (it would have been delivered), so an
+   in-order arrival skips the reorder buffer. *)
 let arrive t chan seq f =
-  if seq < chan.next_deliver || Hashtbl.mem chan.arrived seq then
+  if seq = chan.next_deliver then begin
+    deliver t chan f;
+    if Hashtbl.length chan.arrived > 0 then drain t chan
+  end
+  else if seq < chan.next_deliver || Hashtbl.mem chan.arrived seq then
     t.stats.dups_suppressed <- t.stats.dups_suppressed + 1
   else begin
     Hashtbl.add chan.arrived seq f;
-    if seq > chan.next_deliver then t.stats.reorders <- t.stats.reorders + 1;
-    drain t chan
+    t.stats.reorders <- t.stats.reorders + 1
   end
 
 (* Cumulative backoff before the attempt that finally gets through: a
@@ -128,7 +132,7 @@ let drop_penalty t drops =
   sum 0 0
 
 let send t ~line f =
-  let chan = chan_of t line in
+  let chan = t.chans.(line) in
   let seq = chan.next_send in
   chan.next_send <- seq + 1;
   chan.undelivered <- chan.undelivered + 1;
@@ -144,13 +148,13 @@ let send t ~line f =
      the event window around each one when a run fails. *)
   if decision.Fault.drops > 0 then
     Obs.instant t.obs ~cat:"fault" ~name:"drop" ~tid:0
-      ~ts:(Engine.now t.eng) ~loc:line ~cause:"injected";
+      ~ts:(Engine.now t.eng) ~loc:t.names.(line) ~cause:"injected";
   if decision.Fault.extra_delay > 0 then
     Obs.instant t.obs ~cat:"fault" ~name:"spike" ~tid:0
-      ~ts:(Engine.now t.eng) ~loc:line ~cause:"injected";
+      ~ts:(Engine.now t.eng) ~loc:t.names.(line) ~cause:"injected";
   if decision.Fault.duplicate then
     Obs.instant t.obs ~cat:"fault" ~name:"dup" ~tid:0
-      ~ts:(Engine.now t.eng) ~loc:line ~cause:"injected";
+      ~ts:(Engine.now t.eng) ~loc:t.names.(line) ~cause:"injected";
   t.stats.retransmits <- t.stats.retransmits + decision.Fault.drops;
   let flight =
     t.cfg.Sim_config.net + jitter + decision.Fault.extra_delay

@@ -19,16 +19,17 @@ type stats = {
 }
 (** Transport-layer counters (independent of protocol statistics). *)
 
-val create : ?obs:Obs.t -> Sim_config.t -> Engine.t -> t
-(** A fresh transport over [eng] with the latency/fault model of [cfg].
-    [obs] (default {!Obs.null}) receives a [fault]-category instant for
-    every injected drop, delay spike or duplication. *)
+val create : ?obs:Obs.t -> names:string array -> Sim_config.t -> Engine.t -> t
+(** A fresh transport over [eng] with the latency/fault model of [cfg],
+    with one channel per line id; [names.(line)] names the line in trace
+    events.  [obs] (default {!Obs.null}) receives a [fault]-category
+    instant for every injected drop, delay spike or duplication. *)
 
-val send : t -> line:string -> (unit -> unit) -> unit
-(** Send a message concerning [line]; the thunk runs at the receiver when
-    the message is (finally) delivered. *)
+val send : t -> line:int -> (unit -> unit) -> unit
+(** Send a message concerning line id [line]; the thunk runs at the
+    receiver when the message is (finally) delivered. *)
 
-val line_quiescent : t -> string -> bool
+val line_quiescent : t -> int -> bool
 (** No message concerning the line is still in flight. *)
 
 val set_monitor : t -> (unit -> unit) -> unit

@@ -36,6 +36,7 @@ type run = {
 }
 
 let exec_instr ctx proc regs instr k =
+  let line loc = Proto.line_id ctx.Cpu.proto loc in
   match instr with
   | Instr.Load { kind; loc; reg } ->
       let bind v =
@@ -43,24 +44,25 @@ let exec_instr ctx proc regs instr k =
         k ()
       in
       (match kind with
-      | Instr.Data -> Cpu.data_read ctx proc loc bind
-      | Instr.Sync -> Cpu.sync_read ctx proc loc bind)
+      | Instr.Data -> Cpu.data_read ctx proc (line loc) bind
+      | Instr.Sync -> Cpu.sync_read ctx proc (line loc) bind)
   | Instr.Store { kind; loc; value } -> (
       let v = Exp.eval !regs value in
       match kind with
-      | Instr.Data -> Cpu.data_write ctx proc loc v k
+      | Instr.Data -> Cpu.data_write ctx proc (line loc) v k
       | Instr.Sync ->
-          Cpu.sync_modify ctx proc loc ~reads:false ~writes:true
+          Cpu.sync_modify ctx proc (line loc) ~reads:false ~writes:true
             (fun _ -> v)
             (fun _ -> k ()))
   | Instr.Rmw { kind = _; loc; reg; value } ->
       (* reg := mem[loc]; mem[loc] := value (which may mention reg) *)
-      Cpu.sync_modify ctx proc loc ~reads:true ~writes:true
+      Cpu.sync_modify ctx proc (line loc) ~reads:true ~writes:true
         (fun old -> Exp.eval (Smap.add reg old !regs) value)
         (fun old ->
           regs := Smap.add reg old !regs;
           k ())
   | Instr.Await { kind; loc; expect; reg } ->
+      let line = line loc in
       let rec iter () =
         ctx.Cpu.stats.(proc).Cpu.spin_iters <-
           ctx.Cpu.stats.(proc).Cpu.spin_iters + 1;
@@ -74,13 +76,14 @@ let exec_instr ctx proc regs instr k =
           else Cpu.spin_delay ctx iter
         in
         match kind with
-        | Instr.Sync -> Cpu.sync_read ctx proc loc check
-        | Instr.Data -> Cpu.data_read ctx proc loc check
+        | Instr.Sync -> Cpu.sync_read ctx proc line check
+        | Instr.Data -> Cpu.data_read ctx proc line check
       in
       iter ()
   | Instr.Lock { loc } ->
+      let line = line loc in
       let rec attempt () =
-        Cpu.sync_modify ctx proc loc ~reads:true ~writes:true
+        Cpu.sync_modify ctx proc line ~reads:true ~writes:true
           (fun v -> if v = 0 then 1 else v)
           (fun old ->
             if old = 0 then k ()
@@ -107,8 +110,8 @@ let run ?cfg ?(limit = 10_000_000) ?(obs = Obs.null) ?(on_wedged = ignore)
     | None -> Sim_config.make ~nprocs ()
   in
   let eng = Engine.create () in
-  let stalls = Obs.Stall.create () in
-  let proto = Proto.create ~init:(Prog.init prog) ~obs ~stalls cfg eng in
+  let names = Array.of_list (Prog.locations prog) in
+  let proto = Proto.create ~init:(Prog.init prog) ~obs ~names cfg eng in
   let sanitizer =
     if cfg.Sim_config.sanitize then Some (Sim_sanitizer.install proto)
     else None
@@ -121,10 +124,8 @@ let run ?cfg ?(limit = 10_000_000) ?(obs = Obs.null) ?(on_wedged = ignore)
       policy;
       stats = Array.init nprocs (fun _ -> Cpu.fresh_stats ());
       observations = [];
-      trace = [];
-      op_seq = Array.make nprocs 0;
+      trace = Sim_trace.create ~nprocs ~names;
       obs;
-      stalls;
     }
   in
   let regs = Array.init nprocs (fun _ -> ref Smap.empty) in
@@ -160,9 +161,10 @@ let run ?cfg ?(limit = 10_000_000) ?(obs = Obs.null) ?(on_wedged = ignore)
          (Prog.name prog) (Proto.dump proto));
   Option.iter Sim_sanitizer.check sanitizer;
   let memory =
-    List.fold_left
-      (fun m loc -> Smap.add loc (Proto.settled_value proto loc) m)
-      Smap.empty (Prog.locations prog)
+    Array.fold_left
+      (fun m loc ->
+        Smap.add loc (Proto.settled_value proto (Proto.line_id proto loc)) m)
+      Smap.empty names
   in
   let final = Final.make ~memory ~regs:(Array.map ( ! ) regs) in
   let stats = Proto.stats proto in
@@ -181,7 +183,7 @@ let run ?cfg ?(limit = 10_000_000) ?(obs = Obs.null) ?(on_wedged = ignore)
       (match sanitizer with Some s -> Sim_sanitizer.checks s | None -> 0);
     spin_iters =
       Array.fold_left (fun a s -> a + s.Cpu.spin_iters) 0 ctx.Cpu.stats;
-    stalls;
+    stalls = Proto.stall_table proto;
   }
 
 let try_run ?cfg ?limit ?obs ?on_wedged policy prog =

@@ -30,7 +30,7 @@ type result = {
   reorders : int;
   sanitizer_checks : int;
   events : int;
-  trace : Sim_trace.ev list;  (** per-operation trace, in generation order *)
+  trace : Sim_trace.log;  (** per-operation trace, in generation order *)
   stalls : Obs.Stall.t;  (** stalled cycles by (proc, cause, location) *)
 }
 
@@ -40,21 +40,8 @@ type failure =
   | Invariant of string  (** sanitizer violation; diagnostic *)
 
 let locations_of workload =
-  let add acc = function
-    | Workload.Read { loc; _ }
-    | Workload.Write { loc; _ }
-    | Workload.Sync_read { loc; _ }
-    | Workload.Sync_write { loc; _ }
-    | Workload.Tas { loc; _ }
-    | Workload.Fadd { loc; _ }
-    | Workload.Spin_until { loc; _ }
-    | Workload.Lock { loc }
-    | Workload.Unlock { loc } ->
-        loc :: acc
-    | Workload.Work _ -> acc
-  in
   let from_threads =
-    List.concat_map (List.fold_left add []) workload.Workload.threads
+    List.concat_map (List.filter_map Workload.location) workload.Workload.threads
   in
   List.sort_uniq String.compare
     (List.map fst workload.Workload.init @ from_threads)
@@ -68,8 +55,10 @@ let run ?cfg ?(limit = 10_000_000) ?(obs = Obs.null) ?(on_wedged = ignore)
     | None -> Sim_config.make ~nprocs ()
   in
   let eng = Engine.create ~batch:cfg.Sim_config.batch_events () in
-  let stalls = Obs.Stall.create () in
-  let proto = Proto.create ~init:workload.Workload.init ~obs ~stalls cfg eng in
+  (* Locations are interned once: from here on every operation, cache
+     line, directory entry and channel is addressed by its line id. *)
+  let names = Array.of_list (locations_of workload) in
+  let proto = Proto.create ~init:workload.Workload.init ~obs ~names cfg eng in
   let sanitizer =
     if cfg.Sim_config.sanitize then Some (Sim_sanitizer.install proto)
     else None
@@ -82,15 +71,14 @@ let run ?cfg ?(limit = 10_000_000) ?(obs = Obs.null) ?(on_wedged = ignore)
       policy;
       stats = Array.init nprocs (fun _ -> Cpu.fresh_stats ());
       observations = [];
-      trace = [];
-      op_seq = Array.make nprocs 0;
+      trace = Sim_trace.create ~nprocs ~names;
       obs;
-      stalls;
     }
   in
   let done_flags = Array.make nprocs false in
   List.iteri
     (fun p ops ->
+      let ops = List.map (Workload.map_loc (Proto.line_id proto)) ops in
       Engine.schedule eng ~delay:0 (fun () ->
           Cpu.exec_thread ctx p ops (fun () ->
               ctx.Cpu.stats.(p).Cpu.finish <- Engine.now eng;
@@ -142,7 +130,8 @@ let run ?cfg ?(limit = 10_000_000) ?(obs = Obs.null) ?(on_wedged = ignore)
     proc_stats = ctx.Cpu.stats;
     observations = List.rev ctx.Cpu.observations;
     finals =
-      List.map (fun loc -> (loc, Proto.settled_value proto loc)) (locations_of workload);
+      Array.to_list
+        (Array.mapi (fun line loc -> (loc, Proto.settled_value proto line)) names);
     messages = stats.Proto.messages;
     invalidations = stats.Proto.invalidations;
     deferrals = stats.Proto.deferrals;
@@ -154,8 +143,8 @@ let run ?cfg ?(limit = 10_000_000) ?(obs = Obs.null) ?(on_wedged = ignore)
     sanitizer_checks =
       (match sanitizer with Some s -> Sim_sanitizer.checks s | None -> 0);
     events = Engine.executed eng;
-    trace = List.rev ctx.Cpu.trace;
-    stalls;
+    trace = ctx.Cpu.trace;
+    stalls = Proto.stall_table proto;
   }
 
 let try_run ?cfg ?limit ?obs ?on_wedged policy workload =

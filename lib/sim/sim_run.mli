@@ -25,7 +25,8 @@ type result = {
   reorders : int;  (** messages buffered to restore per-line order *)
   sanitizer_checks : int;  (** invariant sweeps performed *)
   events : int;  (** engine events executed *)
-  trace : Sim_trace.ev list;  (** per-operation trace, generation order *)
+  trace : Sim_trace.log;
+      (** per-operation trace, generation order ({!Sim_trace.events}) *)
   stalls : Obs.Stall.t;  (** stalled cycles by (proc, cause, location) *)
 }
 (** Everything a finished run reports. *)

@@ -58,107 +58,107 @@ let check_counters t =
          the stalled-request queue must drain at counter-zero"
         proc (Proto.deferred_count p proc);
     if c = 0 then
-      List.iter
-        (fun (loc, lv) ->
-          if lv.Proto.lv_reserved then
-            fail t
-              "sanitizer: P%d holds %s reserved with counter zero — reserve \
-               bits must clear when the counter reads zero"
-              proc loc)
-        (Proto.cached_lines p proc)
+      for line = 0 to Proto.nlines p - 1 do
+        if Proto.line_reserved p proc line then
+          fail t
+            "sanitizer: P%d holds %s reserved with counter zero — reserve \
+             bits must clear when the counter reads zero"
+            proc (Proto.line_name p line)
+      done
   done
 
-(* Cached copies of [loc], per state. *)
-let copies t loc =
+(* The processors holding [line] modified and shared, highest first. *)
+let copies t line =
   let p = t.proto in
   let ms = ref [] and ss = ref [] in
   for proc = 0 to Proto.nprocs p - 1 do
-    List.iter
-      (fun (l, lv) ->
-        if l = loc then
-          match lv.Proto.lv_state with
-          | Proto.M -> ms := (proc, lv) :: !ms
-          | Proto.S -> ss := (proc, lv) :: !ss
-          | Proto.I -> ())
-      (Proto.cached_lines p proc)
+    match Proto.line_state p proc line with
+    | Proto.M -> ms := proc :: !ms
+    | Proto.S -> ss := proc :: !ss
+    | Proto.I -> ()
   done;
   (!ms, !ss)
 
-let check_line t (loc, dstate) =
-  if Proto.line_quiescent t.proto loc then begin
-    let ms, ss = copies t loc in
+let check_line t line =
+  let p = t.proto in
+  if Proto.line_quiescent p line then begin
+    let loc = Proto.line_name p line in
+    let ms, ss = copies t line in
     (match ms with
     | [] | [ _ ] -> ()
     | _ ->
         fail t "sanitizer: %s has %d modified copies (single-writer broken)"
           loc (List.length ms));
     (match (ms, ss) with
-    | _ :: _, _ :: _ ->
+    | m :: _, s :: _ ->
         fail t
           "sanitizer: %s modified at P%d while shared at P%d — a stale \
            reader copy survived a write (single-writer/multiple-reader \
            broken)"
-          loc
-          (fst (List.hd ms))
-          (fst (List.hd ss))
+          loc m s
     | _ -> ());
-    match dstate with
+    match Proto.dir_state p line with
     | Proto.Exclusive owner -> (
         match ms with
-        | [ (p, _) ] when p = owner -> ()
+        | [ m ] when m = owner -> ()
         | [] ->
             fail t
               "sanitizer: directory says %s is Exclusive P%d but P%d holds \
                no modified copy"
               loc owner owner
-        | (p, _) :: _ ->
+        | m :: _ ->
             fail t
               "sanitizer: directory says %s is Exclusive P%d but P%d holds \
                it modified"
-              loc owner p)
+              loc owner m)
     | Proto.Shared sharers ->
         (match ms with
         | [] -> ()
-        | (p, _) :: _ ->
+        | m :: _ ->
             fail t
               "sanitizer: directory says %s is Shared but P%d holds it \
                modified"
-              loc p);
+              loc m);
         List.iter
-          (fun (p, lv) ->
-            if not (Iset.mem p sharers) then
+          (fun s ->
+            if not (Iset.mem s sharers) then
               fail t
                 "sanitizer: P%d holds %s shared but the directory does not \
                  list it as a sharer"
-                p loc;
-            if lv.Proto.lv_value <> Proto.memory_value t.proto loc then
+                s loc;
+            let v = Proto.line_value p s line in
+            if v <> Proto.memory_value p line then
               fail t
                 "sanitizer: P%d's shared copy of %s reads %d but memory \
                  holds %d"
-                p loc lv.Proto.lv_value
-                (Proto.memory_value t.proto loc))
+                s loc v
+                (Proto.memory_value p line))
           ss;
         Iset.iter
-          (fun p ->
-            if not (List.mem_assoc p ss) then
+          (fun s ->
+            if not (List.mem s ss) then
               fail t
                 "sanitizer: directory lists P%d as a sharer of %s but its \
                  cache holds no shared copy"
-                p loc)
+                s loc)
           sharers
     | Proto.Uncached -> (
         match (ms, ss) with
         | [], [] -> ()
-        | (p, _) :: _, _ | _, (p, _) :: _ ->
+        | m :: _, _ | _, m :: _ ->
             fail t
               "sanitizer: directory says %s is Uncached but P%d holds a copy"
-              loc p)
+              loc m)
   end
 
+(* One sweep walks the id-indexed protocol state directly: per processor
+   for the counter invariants, per line for the agreement invariants. *)
 let check t =
   t.checks <- t.checks + 1;
   check_counters t;
-  List.iter (check_line t) (Proto.dir_lines t.proto)
+  for line = 0 to Proto.nlines t.proto - 1 do
+    check_line t line
+  done
 
 let checks t = t.checks
 

@@ -28,12 +28,77 @@ type ev = {
   writes : bool;
   eloc : string;
   egen : int;  (** generation time *)
-  mutable ecommit : int;  (** -1 until committed *)
-  mutable egp : int;  (** -1 until globally performed *)
+  ecommit : int;  (** -1 if never committed *)
+  egp : int;  (** -1 if never globally performed *)
 }
 
-let make ~ep ~eidx ~sync ~reads ~writes ~eloc ~egen =
-  { ep; eidx; sync; reads; writes; eloc; egen; ecommit = -1; egp = -1 }
+(* The log: [width] ints per operation.  Column 0 packs the processor
+   (low 20 bits), the sync/reads/writes flags (3 bits) and the line id;
+   columns 1-3 are the generation, commit and globally-performed cycles.
+   The per-processor index is not stored: it is the operation's rank among
+   its processor's rows, recomputed by [events]. *)
+type log = {
+  nprocs : int;
+  names : string array;
+  mutable rows : int array;
+  mutable n : int;
+}
+
+let width = 4
+let proc_bits = 20
+
+let create ~nprocs ~names =
+  if nprocs > 1 lsl proc_bits then
+    invalid_arg
+      (Printf.sprintf "Sim_trace.create: %d processors exceed the log's %d"
+         nprocs (1 lsl proc_bits));
+  { nprocs; names; rows = Array.make (1024 * width) 0; n = 0 }
+
+let record log ~proc ~sync ~reads ~writes ~line ~gen =
+  let i = log.n in
+  if (i + 1) * width > Array.length log.rows then begin
+    let bigger = Array.make (2 * Array.length log.rows) 0 in
+    Array.blit log.rows 0 bigger 0 (i * width);
+    log.rows <- bigger
+  end;
+  let flags =
+    Bool.to_int sync lor (Bool.to_int reads lsl 1) lor (Bool.to_int writes lsl 2)
+  in
+  let o = i * width in
+  log.rows.(o) <- proc lor (flags lsl proc_bits) lor (line lsl (proc_bits + 3));
+  log.rows.(o + 1) <- gen;
+  log.rows.(o + 2) <- -1;
+  log.rows.(o + 3) <- -1;
+  log.n <- i + 1;
+  i
+
+let set_commit log i cycle = log.rows.((i * width) + 2) <- cycle
+let set_gp log i cycle = log.rows.((i * width) + 3) <- cycle
+let length log = log.n
+
+let events log =
+  let seq = Array.make log.nprocs 0 in
+  let event i =
+    let o = i * width in
+    let key = log.rows.(o) in
+    let ep = key land ((1 lsl proc_bits) - 1) in
+    let flags = key lsr proc_bits in
+    let eidx = seq.(ep) in
+    seq.(ep) <- eidx + 1;
+    {
+      ep;
+      eidx;
+      sync = flags land 1 <> 0;
+      reads = flags land 2 <> 0;
+      writes = flags land 4 <> 0;
+      eloc = log.names.(key lsr (proc_bits + 3));
+      egen = log.rows.(o + 1);
+      ecommit = log.rows.(o + 2);
+      egp = log.rows.(o + 3);
+    }
+  in
+  (* [Array.init] applies [event] in index order, as [eidx] needs. *)
+  Array.to_list (Array.init log.n event)
 
 let pp_ev ppf e =
   Fmt.pf ppf "P%d#%d %s%s%s %s gen=%d commit=%d gp=%d" e.ep e.eidx

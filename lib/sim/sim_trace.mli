@@ -9,22 +9,47 @@ type ev = {
   writes : bool;
   eloc : string;  (** memory location *)
   egen : int;  (** generation cycle (the processor issues the access) *)
-  mutable ecommit : int;  (** commit cycle; [-1] until known *)
-  mutable egp : int;  (** globally-performed cycle; [-1] until known *)
+  ecommit : int;  (** commit cycle; [-1] if it never committed *)
+  egp : int;  (** globally-performed cycle; [-1] if never *)
 }
 (** One memory operation of a run, with the three timestamps the
     Section 5.1 conditions are phrased over. *)
 
-val make :
-  ep:int ->
-  eidx:int ->
-  sync:bool ->
-  reads:bool ->
-  writes:bool ->
-  eloc:string ->
-  egen:int ->
-  ev
-(** A freshly generated operation ([ecommit] and [egp] start at [-1]). *)
+(** {1 The operation log}
+
+    What a run records: one fixed-width row of unboxed ints per operation
+    — processor, kind flags, line id, and the generation, commit and
+    globally-performed cycles — in generation order.  Recording allocates
+    nothing but the log's own occasional doubling; {!events} builds the
+    [ev list] the checkers read, on demand. *)
+
+type log
+(** A growable operation log over one run's interned locations. *)
+
+val create : nprocs:int -> names:string array -> log
+(** An empty log; [names.(line)] is the location of line id [line].
+    @raise Invalid_argument when [nprocs] exceeds the packed layout's
+    2{^20} processors. *)
+
+val record :
+  log -> proc:int -> sync:bool -> reads:bool -> writes:bool -> line:int -> gen:int -> int
+(** Append a freshly generated operation (commit and globally-performed
+    cycles unknown, [-1]) and return its row, for {!set_commit} and
+    {!set_gp}. *)
+
+val set_commit : log -> int -> int -> unit
+(** [set_commit log row cycle]: the operation committed at [cycle]. *)
+
+val set_gp : log -> int -> int -> unit
+(** [set_gp log row cycle]: the operation was globally performed at
+    [cycle]. *)
+
+val length : log -> int
+(** Operations recorded. *)
+
+val events : log -> ev list
+(** The log as trace events, in generation order; [eidx] is each
+    operation's rank among its processor's operations. *)
 
 val pp_ev : Format.formatter -> ev -> unit
 

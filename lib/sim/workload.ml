@@ -4,17 +4,44 @@
    by generating unrolled operation lists or by the [Spin_until]/[Lock]
    primitives, which iterate at run time. *)
 
-type op =
-  | Read of { loc : string; tag : string option }
-  | Write of { loc : string; value : int }
-  | Sync_read of { loc : string; tag : string option }
-  | Sync_write of { loc : string; value : int }
-  | Tas of { loc : string; tag : string option }
-  | Fadd of { loc : string; n : int }
-  | Spin_until of { loc : string; expect : int; sync : bool }
-  | Lock of { loc : string }
-  | Unlock of { loc : string }
+type 'loc op_on =
+  | Read of { loc : 'loc; tag : string option }
+  | Write of { loc : 'loc; value : int }
+  | Sync_read of { loc : 'loc; tag : string option }
+  | Sync_write of { loc : 'loc; value : int }
+  | Tas of { loc : 'loc; tag : string option }
+  | Fadd of { loc : 'loc; n : int }
+  | Spin_until of { loc : 'loc; expect : int; sync : bool }
+  | Lock of { loc : 'loc }
+  | Unlock of { loc : 'loc }
   | Work of int
+
+type op = string op_on
+
+let location = function
+  | Read { loc; _ }
+  | Write { loc; _ }
+  | Sync_read { loc; _ }
+  | Sync_write { loc; _ }
+  | Tas { loc; _ }
+  | Fadd { loc; _ }
+  | Spin_until { loc; _ }
+  | Lock { loc }
+  | Unlock { loc } ->
+      Some loc
+  | Work _ -> None
+
+let map_loc f = function
+  | Read { loc; tag } -> Read { loc = f loc; tag }
+  | Write { loc; value } -> Write { loc = f loc; value }
+  | Sync_read { loc; tag } -> Sync_read { loc = f loc; tag }
+  | Sync_write { loc; value } -> Sync_write { loc = f loc; value }
+  | Tas { loc; tag } -> Tas { loc = f loc; tag }
+  | Fadd { loc; n } -> Fadd { loc = f loc; n }
+  | Spin_until { loc; expect; sync } -> Spin_until { loc = f loc; expect; sync }
+  | Lock { loc } -> Lock { loc = f loc }
+  | Unlock { loc } -> Unlock { loc = f loc }
+  | Work n -> Work n
 
 type t = {
   name : string;

@@ -1,19 +1,30 @@
 (** Timing workloads for the simulator, with generators for the paper's
     scenarios. *)
 
-type op =
-  | Read of { loc : string; tag : string option }
+type 'loc op_on =
+  | Read of { loc : 'loc; tag : string option }
       (** blocking data read; [tag] records the observed value *)
-  | Write of { loc : string; value : int }  (** non-blocking data write *)
-  | Sync_read of { loc : string; tag : string option }
-  | Sync_write of { loc : string; value : int }
-  | Tas of { loc : string; tag : string option }
+  | Write of { loc : 'loc; value : int }  (** non-blocking data write *)
+  | Sync_read of { loc : 'loc; tag : string option }
+  | Sync_write of { loc : 'loc; value : int }
+  | Tas of { loc : 'loc; tag : string option }
       (** one TestAndSet attempt (no retry) *)
-  | Fadd of { loc : string; n : int }
-  | Spin_until of { loc : string; expect : int; sync : bool }
-  | Lock of { loc : string }  (** TestAndSet loop until acquired *)
-  | Unlock of { loc : string }
+  | Fadd of { loc : 'loc; n : int }
+  | Spin_until of { loc : 'loc; expect : int; sync : bool }
+  | Lock of { loc : 'loc }  (** TestAndSet loop until acquired *)
+  | Unlock of { loc : 'loc }
   | Work of int  (** local computation, in cycles *)
+(** One operation, over locations of type ['loc]: names in a workload,
+    dense line ids once a run has interned them. *)
+
+type op = string op_on
+(** An operation on a named location. *)
+
+val location : 'loc op_on -> 'loc option
+(** The location an operation touches ([None] for [Work]). *)
+
+val map_loc : ('a -> 'b) -> 'a op_on -> 'b op_on
+(** The same operation with its location mapped. *)
 
 type t = {
   name : string;

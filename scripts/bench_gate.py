@@ -28,7 +28,12 @@ as "explore", which is what every pre-kind baseline contained):
                           simulation is deterministic, so any drift in
                           simulated time or settled memory against the
                           baseline is a timing regression and fails
-                          hard.  The naive reference rows (machine
+                          hard.  minor_words (words the run allocated
+                          on the minor heap, fixed for a given binary)
+                          is gated per event: more than 25% above the
+                          baseline row's words per event fails; a
+                          baseline row without the field is skipped.
+                          The naive reference rows (machine
                           "*-naive") must also shed at least
                           --sim-shed-floor x the events of their parked
                           twin, re-proving the engine-scaling claim on
@@ -75,6 +80,10 @@ COUNT_FIELD = {"overhead": "payload", "sim": "events"}
 # sim fields that must match the baseline bit for bit: simulated time and
 # settled behaviour are deterministic, so any drift is a real regression.
 SIM_EXACT_FIELDS = ("total_cycles", "finals_crc", "stalls_crc")
+# Allowed growth of a sim row's minor-heap words per engine event.  The
+# count is deterministic for a given binary, so it gates the simulator's
+# per-event cost without depending on the machine's speed.
+SIM_ALLOC_TOLERANCE = 0.25
 
 
 def entry_kind(e):
@@ -178,6 +187,7 @@ def check_sim_rows(old, new, shed_floor, failures):
                     f"diverged from the baseline (timing regression or an "
                     f"engine-order bug; if the change is deliberate, "
                     f"refresh the committed baseline)")
+        check_sim_alloc(label, old[key], new[key], failures)
     naive = {k: e for k, e in new.items()
              if k[0] == "sim" and k[2].endswith("-naive")}
     for (kind, name, machine, domains), e in sorted(naive.items()):
@@ -199,6 +209,30 @@ def check_sim_rows(old, new, shed_floor, failures):
             print(f"bench gate: {label}: {e['events']} naive vs {parked} "
                   f"parked events ({ratio:.0f}x shed, floor "
                   f"{shed_floor:.0f}x)")
+
+
+def check_sim_alloc(label, old, new, failures):
+    """Minor-heap words per event against the baseline row."""
+    if "minor_words" not in old:
+        print(f"bench gate: {label}: minor_words skipped (the baseline "
+              f"row lacks the field)")
+        return
+    if not isinstance(new.get("minor_words"), int):
+        failures.append(f"{label}: the fresh row lacks an integer "
+                        f"minor_words")
+        return
+    o = old["minor_words"] / max(old["events"], 1)
+    n = new["minor_words"] / max(new["events"], 1)
+    limit = o * (1.0 + SIM_ALLOC_TOLERANCE)
+    if n > limit:
+        failures.append(
+            f"{label}: {n:.1f} minor words per event vs {o:.1f} in the "
+            f"baseline (+{(n - o) / o * 100:.1f}%, limit "
+            f"+{SIM_ALLOC_TOLERANCE:.0%}) — the simulator's per-event "
+            f"allocation grew")
+    elif n != o:
+        print(f"bench gate: note: {label}: minor words per event "
+              f"{o:.1f} -> {n:.1f} (within tolerance)")
 
 
 def check_service_rows(new, failures):

@@ -179,6 +179,25 @@ let test_executed_merged_pins () =
   check_int "unbatched cells = thunks" 2 (Engine.executed e);
   check_int "unbatched merges none" 0 (Engine.merged e)
 
+(* A cancellable event sits between ordinary same-cycle schedules: the
+   later schedule must not merge into the cell created before it, or it
+   would run ahead of the cancellable thunk. *)
+let test_cancellable_tie_order () =
+  let order ~batch =
+    let e = Engine.create ~batch () in
+    let log = ref [] in
+    let hit n () = log := n :: !log in
+    Engine.schedule e ~delay:3 (hit "a");
+    ignore (Engine.schedule_cancellable e ~delay:3 (hit "b"));
+    Engine.schedule e ~delay:3 (hit "c");
+    Engine.run e;
+    List.rev !log
+  in
+  Alcotest.(check (list string))
+    "batch off: insertion order" [ "a"; "b"; "c" ] (order ~batch:false);
+  Alcotest.(check (list string))
+    "batch on: same order" (order ~batch:false) (order ~batch:true)
+
 let test_running_since () =
   let e = Engine.create () in
   let seen = ref [] in
@@ -204,4 +223,6 @@ let suite =
         test_executed_merged_pins;
       Alcotest.test_case "running_since reports cell creation" `Quick
         test_running_since;
+      Alcotest.test_case "cancellable event keeps same-cycle order" `Quick
+        test_cancellable_tie_order;
     ] )

@@ -75,7 +75,7 @@ let test_faults_observable () =
           check_int
             ("conditions hold under " ^ name)
             0
-            (List.length (Sim_trace.check_all r.Sim_run.trace));
+            (List.length (Sim_trace.check_all (Sim_trace.events r.Sim_run.trace)));
           if r.Sim_run.retransmits > 0 then saw_retransmit := true;
           if r.Sim_run.dups_suppressed > 0 then saw_dup := true
         done)
@@ -144,6 +144,47 @@ let test_dump_contents () =
           check (Printf.sprintf "dump mentions %S" affix) true
             (contains ~affix d))
         [ "directory:"; "caches:"; "recent protocol events"; "BUSY" ]
+
+let read_file path =
+  let path = if Sys.file_exists path then path else "test/" ^ path in
+  In_channel.with_open_bin path In_channel.input_all
+
+let test_dump_pinned () =
+  (* The whole wedge report, journal tail included, byte for byte as the
+     simulator rendered it when the journal was kept as text. *)
+  match
+    Sim_run.try_run
+      ~cfg:(Sim_config.make ~mutation:Sim_config.Forget_ack ())
+      Cpu.Def2
+      (Workload.fig3_handoff ())
+  with
+  | Ok _ -> Alcotest.fail "expected a wedge"
+  | Error f ->
+      Alcotest.(check string)
+        "forget-ack dump" (read_file "golden/fault_forget_ack_dump.golden")
+        (Fmt.str "%a" Sim_run.pp_failure f)
+
+let test_journal_keeps_state () =
+  (* P1 reads x, then P0 writes it: the directory goes Uncached -> Shared
+     -> Exclusive, and each journal entry still shows the state the line
+     was in when the request arrived. *)
+  let cfg = Sim_config.make ~nprocs:2 () in
+  let eng = Engine.create () in
+  let proto = Proto.create ~names:[| "x" |] cfg eng in
+  let x = Proto.line_id proto "x" in
+  Proto.read proto ~proc:1 ~line:x ~k:(fun _ ->
+      Proto.modify proto ~proc:0 ~line:x ~f:(fun _ -> 1)
+        ~on_commit:(fun _ -> ()));
+  Engine.run eng;
+  let d = Proto.dump proto in
+  List.iter
+    (fun affix ->
+      check (Printf.sprintf "dump mentions %S" affix) true (contains ~affix d))
+    [
+      "x        Exclusive P0";
+      "dir x: GetS from P1 (Uncached)";
+      "dir x: GetX from P0 (Shared{1})";
+    ]
 
 (* --- the resilience campaign ----------------------------------------------- *)
 
@@ -283,6 +324,9 @@ let suite =
       Alcotest.test_case "watchdog catches forgotten ack" `Quick
         test_watchdog_catches_forgotten_ack;
       Alcotest.test_case "diagnostic dump contents" `Quick test_dump_contents;
+      Alcotest.test_case "diagnostic dump pinned" `Quick test_dump_pinned;
+      Alcotest.test_case "journal entries keep their state" `Quick
+        test_journal_keeps_state;
       Alcotest.test_case "200+ seeded schedules terminate SC" `Slow
         test_resilience_campaign;
       Alcotest.test_case "chaos sweep across policies" `Slow

@@ -43,43 +43,47 @@ let cfg = Sim_config.make ~nprocs:2 ~net:20 ~dir_occupancy:4 ()
 
 let test_read_miss_latency () =
   let eng = Engine.create () in
-  let proto = Proto.create ~init:[ ("x", 7) ] cfg eng in
+  let proto = Proto.create ~init:[ ("x", 7) ] ~names:[| "x" |] cfg eng in
+  let x = Proto.line_id proto "x" in
   let got = ref None in
-  Proto.read proto ~proc:0 ~loc:"x" ~k:(fun v -> got := Some (v, Engine.now eng));
+  Proto.read proto ~proc:0 ~line:x ~k:(fun v -> got := Some (v, Engine.now eng));
   Engine.run eng;
   (* request hop + directory occupancy + reply hop *)
   Alcotest.(check (option (pair int int))) "value and latency" (Some (7, 44)) !got
 
 let test_read_hit_after_miss () =
   let eng = Engine.create () in
-  let proto = Proto.create ~init:[ ("x", 7) ] cfg eng in
+  let proto = Proto.create ~init:[ ("x", 7) ] ~names:[| "x" |] cfg eng in
+  let x = Proto.line_id proto "x" in
   let t2 = ref 0 in
-  Proto.read proto ~proc:0 ~loc:"x" ~k:(fun _ ->
+  Proto.read proto ~proc:0 ~line:x ~k:(fun _ ->
       let t1 = Engine.now eng in
-      Proto.read proto ~proc:0 ~loc:"x" ~k:(fun _ -> t2 := Engine.now eng - t1));
+      Proto.read proto ~proc:0 ~line:x ~k:(fun _ -> t2 := Engine.now eng - t1));
   Engine.run eng;
   check_int "hit costs cache_hit" cfg.Sim_config.cache_hit !t2
 
 let test_write_invalidates_sharer () =
   let eng = Engine.create () in
-  let proto = Proto.create cfg eng in
+  let proto = Proto.create ~names:[| "x" |] cfg eng in
+  let x = Proto.line_id proto "x" in
   (* P1 caches x, then P0 writes it: P1 must be invalidated; P0's write is
      globally performed only after the directory's ack. *)
-  Proto.read proto ~proc:1 ~loc:"x" ~k:(fun _ ->
-      Proto.modify proto ~proc:0 ~loc:"x" ~f:(fun _ -> 9) ~on_commit:(fun _ -> ()));
+  Proto.read proto ~proc:1 ~line:x ~k:(fun _ ->
+      Proto.modify proto ~proc:0 ~line:x ~f:(fun _ -> 9) ~on_commit:(fun _ -> ()));
   Engine.run eng;
   check_int "one invalidation" 1 (Proto.stats proto).Proto.invalidations;
-  check_int "settled value" 9 (Proto.settled_value proto "x");
+  check_int "settled value" 9 (Proto.settled_value proto x);
   check_int "counter drained" 0 (Proto.counter proto 0);
-  check "P1 invalid" true (Proto.line_state proto 1 "x" = Proto.I)
+  check "P1 invalid" true (Proto.line_state proto 1 x = Proto.I)
 
 let test_counter_tracks_gp () =
   let eng = Engine.create () in
-  let proto = Proto.create cfg eng in
+  let proto = Proto.create ~names:[| "x" |] cfg eng in
+  let x = Proto.line_id proto "x" in
   let at_commit = ref (-1) in
   let at_zero = ref (-1) in
-  Proto.read proto ~proc:1 ~loc:"x" ~k:(fun _ ->
-      Proto.modify proto ~proc:0 ~loc:"x" ~f:(fun _ -> 1) ~on_commit:(fun _ ->
+  Proto.read proto ~proc:1 ~line:x ~k:(fun _ ->
+      Proto.modify proto ~proc:0 ~line:x ~f:(fun _ -> 1) ~on_commit:(fun _ ->
           at_commit := Proto.counter proto 0;
           Proto.when_counter_zero proto 0 (fun () ->
               at_zero := Engine.now eng)));
@@ -89,49 +93,52 @@ let test_counter_tracks_gp () =
 
 let test_rmw_applies_function () =
   let eng = Engine.create () in
-  let proto = Proto.create ~init:[ ("c", 10) ] cfg eng in
+  let proto = Proto.create ~init:[ ("c", 10) ] ~names:[| "c" |] cfg eng in
+  let c = Proto.line_id proto "c" in
   let old = ref 0 in
-  Proto.modify proto ~proc:0 ~loc:"c" ~f:(fun v -> v + 5) ~on_commit:(fun o -> old := o);
+  Proto.modify proto ~proc:0 ~line:c ~f:(fun v -> v + 5) ~on_commit:(fun o -> old := o);
   Engine.run eng;
   check_int "old value" 10 !old;
-  check_int "new value" 15 (Proto.settled_value proto "c")
+  check_int "new value" 15 (Proto.settled_value proto c)
 
 let test_exclusive_handoff () =
   let eng = Engine.create () in
-  let proto = Proto.create cfg eng in
+  let proto = Proto.create ~names:[| "x" |] cfg eng in
+  let x = Proto.line_id proto "x" in
   (* P0 owns x dirty; P1 reads it: value must come from P0's cache. *)
-  Proto.modify proto ~proc:0 ~loc:"x" ~f:(fun _ -> 42) ~on_commit:(fun _ ->
-      Proto.read proto ~proc:1 ~loc:"x" ~k:(fun v ->
+  Proto.modify proto ~proc:0 ~line:x ~f:(fun _ -> 42) ~on_commit:(fun _ ->
+      Proto.read proto ~proc:1 ~line:x ~k:(fun v ->
           Alcotest.(check int) "dirty value forwarded" 42 v));
   Engine.run eng;
   check "both shared afterwards" true
-    (Proto.line_state proto 0 "x" = Proto.S && Proto.line_state proto 1 "x" = Proto.S)
+    (Proto.line_state proto 0 x = Proto.S && Proto.line_state proto 1 x = Proto.S)
 
 let test_reservation_defers_foreign_request () =
   let eng = Engine.create () in
-  let proto = Proto.create cfg eng in
+  let proto = Proto.create ~names:[| "s"; "y" |] cfg eng in
+  let s = Proto.line_id proto "s" and y = Proto.line_id proto "y" in
   let p1_done = ref (-1) in
   let gp_time = ref (-1) in
   (* P1 shares y; P0 writes y (slow gp), immediately owns s (uncached GetX),
      reserves it, and P1 then requests s: the request must wait for P0's
      counter to drain. *)
-  Proto.read proto ~proc:1 ~loc:"y" ~k:(fun _ ->
+  Proto.read proto ~proc:1 ~line:y ~k:(fun _ ->
       (* P0 acquires s first so the sync commit is a local hit later. *)
-      Proto.modify proto ~proc:0 ~loc:"s" ~f:(fun _ -> 1) ~on_commit:(fun _ ->
-          Proto.modify proto ~proc:0 ~loc:"y" ~f:(fun _ -> 1) ~on_commit:(fun _ ->
+      Proto.modify proto ~proc:0 ~line:s ~f:(fun _ -> 1) ~on_commit:(fun _ ->
+          Proto.modify proto ~proc:0 ~line:y ~f:(fun _ -> 1) ~on_commit:(fun _ ->
               (* sync commit on s: a cache hit; reserve it *)
-              Proto.modify proto ~proc:0 ~loc:"s" ~f:(fun _ -> 0)
+              Proto.modify proto ~proc:0 ~line:s ~f:(fun _ -> 0)
                 ~on_commit:(fun _ ->
-                  Proto.reserve_if_outstanding proto ~proc:0 ~loc:"s";
+                  Proto.reserve_if_outstanding proto ~proc:0 ~line:s;
                   Alcotest.(check bool) "reserved" true
-                    (Proto.line_reserved proto 0 "s");
+                    (Proto.line_reserved proto 0 s);
                   Proto.when_counter_zero proto 0 (fun () ->
                       gp_time := Engine.now eng)));
           (* P1 asks for s concurrently, so its request reaches P0 just
              after the reservation is placed and before the write of y is
              globally performed. *)
           Engine.schedule eng ~delay:2 (fun () ->
-              Proto.modify proto ~proc:1 ~loc:"s" ~f:(fun v -> v)
+              Proto.modify proto ~proc:1 ~line:s ~f:(fun v -> v)
                 ~on_commit:(fun _ -> p1_done := Engine.now eng))));
   Engine.run eng;
   check "deferral recorded" true ((Proto.stats proto).Proto.deferrals >= 1);
@@ -238,7 +245,7 @@ let test_def2_satisfies_conditions () =
       List.iter
         (fun (name, w) ->
           let r = Sim_run.run ~cfg Cpu.Def2 w in
-          match Sim_trace.check_all r.Sim_run.trace with
+          match Sim_trace.check_all (Sim_trace.events r.Sim_run.trace) with
           | [] -> ()
           | v :: _ ->
               Alcotest.failf "def2 %s jitter=%d: %a" name jitter
@@ -261,7 +268,7 @@ let test_all_policies_clean_on_spinless_workloads () =
           Alcotest.(check int)
             (Printf.sprintf "%s %s violations" name (Cpu.policy_name p))
             0
-            (List.length (Sim_trace.check_all r.Sim_run.trace)))
+            (List.length (Sim_trace.check_all (Sim_trace.events r.Sim_run.trace))))
         Cpu.all_policies)
     [
       ("fig3", Workload.fig3_handoff ());
@@ -273,7 +280,7 @@ let test_noresv_violates_condition5 () =
      and the trace checker catches it even when the uniform-latency
      schedule happens to hide the stale read end to end. *)
   let r = Sim_run.run Cpu.Def2_noresv (Workload.fig3_handoff ()) in
-  let v = Sim_trace.check_condition5 r.Sim_run.trace in
+  let v = Sim_trace.check_condition5 (Sim_trace.events r.Sim_run.trace) in
   check "condition 5 violated" true (v <> []);
   (* And with network reordering the breakage becomes observable: the
      consumer reads stale data. *)
@@ -302,7 +309,7 @@ let test_trace_times_ordered () =
         if e.Sim_trace.egp >= 0 then
           check "commit <= gp" true (e.Sim_trace.ecommit <= e.Sim_trace.egp)
       end)
-    r.Sim_run.trace
+    (Sim_trace.events r.Sim_run.trace)
 
 let test_ticket_lock_fifo () =
   (* Ticket lock: critical sections execute in ticket order under every
@@ -330,7 +337,7 @@ let test_new_workloads_def2_conditions () =
       Alcotest.(check int)
         (w.Workload.name ^ " def2 violations")
         0
-        (List.length (Sim_trace.check_all r.Sim_run.trace)))
+        (List.length (Sim_trace.check_all (Sim_trace.events r.Sim_run.trace))))
     [ Workload.ticket_lock (); Workload.sense_barrier () ]
 
 (* --- Spin parking ------------------------------------------------------------ *)
@@ -507,6 +514,59 @@ let test_scaled_workloads_under_faults () =
         [ 0; 1; 2 ])
     Fault.scenarios
 
+(* --- Operation-trace pins ------------------------------------------------------ *)
+
+(* CRC-32 of a run's materialised trace: every field of every event, in
+   generation order.  The values were taken from the simulator as it was
+   when each operation was a heap record, so they show that the flat
+   operation log reproduces that trace exactly. *)
+let trace_crc r =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      Printf.bprintf b "%d,%d,%b,%b,%b,%s,%d,%d,%d;" e.Sim_trace.ep
+        e.Sim_trace.eidx e.Sim_trace.sync e.Sim_trace.reads
+        e.Sim_trace.writes e.Sim_trace.eloc e.Sim_trace.egen
+        e.Sim_trace.ecommit e.Sim_trace.egp)
+    (Sim_trace.events r.Sim_run.trace);
+  Crc32.digest (Buffer.contents b)
+
+let test_trace_pins () =
+  let pin ~cfg label policy w ~ops ~crc =
+    let r = Sim_run.run ~cfg policy w in
+    let label = Printf.sprintf "%s %s" label (Cpu.policy_name policy) in
+    check_int (label ^ " operations") ops (Sim_trace.length r.Sim_run.trace);
+    check_int (label ^ " trace crc") crc (trace_crc r)
+  in
+  (* The golden-fingerprint cells (test/golden/sim_<name>_<policy>), default config. *)
+  List.iter
+    (fun (label, w, policy, ops, crc) ->
+      pin ~cfg:(Sim_config.make ()) label policy (w ()) ~ops ~crc)
+    [
+      ("fig3", (fun () -> Workload.fig3_handoff ()), Cpu.Def1, 20, 2727082917);
+      ("fig3", (fun () -> Workload.fig3_handoff ()), Cpu.Def2, 7, 2710773215);
+      ("barrier", (fun () -> Workload.spin_barrier ()), Cpu.Def1, 49, 4233616960);
+      ("barrier", (fun () -> Workload.spin_barrier ()), Cpu.Def2, 48, 1130126944);
+      ("locks", (fun () -> Workload.critical_sections ()), Cpu.Def1, 314, 1655503936);
+      ("locks", (fun () -> Workload.critical_sections ()), Cpu.Def2, 618, 4027265882);
+      ("pipeline", (fun () -> Workload.pipeline ()), Cpu.Def1, 500, 65397690);
+      ("pipeline", (fun () -> Workload.pipeline ()), Cpu.Def2, 452, 3648476557);
+      ("ticket", (fun () -> Workload.ticket_lock ()), Cpu.Def1, 260, 3667286452);
+      ("ticket", (fun () -> Workload.ticket_lock ()), Cpu.Def2, 110, 3872326039);
+      ("sense-barrier", (fun () -> Workload.sense_barrier ()), Cpu.Def1, 170, 195438918);
+      ("sense-barrier", (fun () -> Workload.sense_barrier ()), Cpu.Def2, 157, 89224628);
+    ];
+  (* The four 64-core legs of the simulator benchmark, sanitizer off. *)
+  List.iter
+    (fun (label, w, policy, ops, crc) ->
+      pin ~cfg:(Sim_config.make ~sanitize:false ()) label policy w ~ops ~crc)
+    [
+      ("locks64", Workload.critical_sections ~nprocs:64 (), Cpu.Def1, 31334, 555034785);
+      ("locks64", Workload.critical_sections ~nprocs:64 (), Cpu.Def2_rs, 130848, 3071453987);
+      ("ticket64", Workload.ticket_lock ~nprocs:64 (), Cpu.Def1, 75849, 445355589);
+      ("ticket64", Workload.ticket_lock ~nprocs:64 (), Cpu.Def2_rs, 55625, 402982917);
+    ]
+
 (* --- Workload argument validation -------------------------------------------- *)
 
 let test_workload_validation () =
@@ -568,4 +628,5 @@ let suite =
       t "spin parking sheds events at scale" test_parking_saves_events;
       t "scaled workloads survive fault campaign" test_scaled_workloads_under_faults;
       t "workload argument validation" test_workload_validation;
+      t "operation traces match pinned CRCs" test_trace_pins;
     ] )
