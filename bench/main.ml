@@ -126,8 +126,9 @@ type json_entry = {
   e_finals_crc : int;  (* sim rows: crc32 of the settled memory image *)
   e_stalls_crc : int;  (* sim rows: crc32 of the stall-attribution table *)
   e_minor_words : int;
-      (* sim rows: words the run allocated on the minor heap — fixed for a
-         given binary, unlike its wall time *)
+      (* sim rows, and explore/sym rows at one domain: words the run
+         allocated on the minor heap — fixed for a given binary, unlike
+         its wall time *)
 }
 
 let entry_default =
@@ -172,6 +173,14 @@ let wall f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.)
 
+(* Words [f] allocates on the minor heap.  Exploration rows measure a
+   second, warm run, so one-time set-up (layouts, automorphism groups)
+   stays out of the per-state figure. *)
+let minor_words f =
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  int_of_float (Gc.minor_words () -. minor0)
+
 let json_corpus = [ "dekker"; "dekker_sync"; "iriw"; "mp_sync"; "lock_mutex" ]
 let json_domains = [ 1; 2; 4 ]
 
@@ -192,6 +201,10 @@ let json_machine_entries name prog m =
         e_suppressed = r.Explore.stats.Explore.suppressed;
         e_sym_group = r.Explore.stats.Explore.sym_group;
         e_sym_hits = r.Explore.stats.Explore.sym_hits;
+        e_minor_words =
+          (if domains = 1 then
+             minor_words (fun () -> Machines.explore ~domains m prog)
+           else 0);
       })
     json_domains
 
@@ -207,6 +220,7 @@ let json_sc_entries name prog =
         e_states = states;
         e_outcomes = Final.Set.cardinal set;
         e_states_per_sec = per_sec states ms;
+        e_minor_words = minor_words (fun () -> Sc.explore ~reduce prog);
       })
     [ ("sc", true); ("sc-nopor", false) ]
 
@@ -496,6 +510,7 @@ let json_sym_entries () =
               Final.Set.cardinal (Explore.bounded_value symr.Explore.result);
             e_outcomes_equal = equal;
             e_states_per_sec = per_sec on ms;
+            e_minor_words = minor_words (fun () -> Machines.explore m prog);
           })
         [ Machines.def2; Machines.ooo ])
     [ "iriw"; "big3" ]
@@ -612,11 +627,12 @@ let write_json ?out entries =
         Printf.sprintf
           "{%s, \"states_expanded\": %d, \"states_nosym\": %d, \
            \"reduction_pct\": %.1f, \"sym_group\": %d, \"sym_hits\": %d, \
-           \"outcomes\": %d, \"outcomes_equal\": %s, \"states_per_sec\": %d}"
+           \"outcomes\": %d, \"outcomes_equal\": %s, \"states_per_sec\": %d, \
+           \"minor_words\": %d}"
           common e.e_states e.e_states_nosym e.e_reduction_pct e.e_sym_group
           e.e_sym_hits e.e_outcomes
           (if e.e_outcomes_equal then "true" else "false")
-          e.e_states_per_sec
+          e.e_states_per_sec e.e_minor_words
     | "service" ->
         Printf.sprintf
           "{%s, \"states_expanded\": %d, \"programs\": %d, \"checks\": %d, \
@@ -639,9 +655,12 @@ let write_json ?out entries =
         Printf.sprintf
           "{%s, \"states_expanded\": %d, \"outcomes\": %d, \
            \"states_per_sec\": %d, \"suppressed_transitions\": %d, \
-           \"sym_group\": %d, \"sym_hits\": %d}"
+           \"sym_group\": %d, \"sym_hits\": %d%s}"
           common e.e_states e.e_outcomes e.e_states_per_sec e.e_suppressed
           e.e_sym_group e.e_sym_hits
+          (if e.e_domains = 1 then
+             Printf.sprintf ", \"minor_words\": %d" e.e_minor_words
+           else "")
   in
   List.iteri
     (fun i e ->

@@ -24,7 +24,11 @@
    Every key of one layout has the same length, and corresponding threads
    of an automorphism have identical segment shapes, so a program
    automorphism acts on keys as a fixed gather of bytes plus a relabeling
-   of the location bytes — see [index_map] and [Sym.compile]. *)
+   of the location bytes — see [index_map] and [Sym.compile].
+
+   The machines step on keys directly: a successor is a copy of the parent
+   key with a few slots rewritten through the readers and writers below,
+   and each instruction comes compiled to the offsets it touches. *)
 
 module Smap = Exp.Smap
 
@@ -35,7 +39,23 @@ type shape = {
   reservations : bool;
 }
 
+type vexp =
+  | Const of int
+  | Reg of int * string
+  | Add of vexp * vexp
+  | Sub of vexp * vexp
+
+type op = {
+  instr : Instr.t;
+  mem : int;
+  lid : int;
+  row : int;
+  dst : int;
+  value : vexp;
+}
+
 type t = {
+  prog : Prog.t;
   nprocs : int;
   vw : int;
   cw : int;
@@ -54,6 +74,8 @@ type t = {
   resv_row : int Smap.t;
   resv_off : int;
   size : int;
+  code : op array array;
+  init : string;
 }
 
 (* The smallest byte width [w >= 1] whose unsigned range holds [n]. *)
@@ -157,6 +179,7 @@ let make prog shape =
     else [||]
   in
   {
+    prog;
     nprocs;
     vw;
     cw;
@@ -177,22 +200,9 @@ let make prog shape =
     resv_row = index_of resv_locs;
     resv_off = !off;
     size = !off + (Array.length resv_locs * nprocs * cw);
+    code = [||];
+    init = "";
   }
-
-(* Layouts depend only on the program and the shape; keep the last few.
-   An [Atomic] so exploration domains can race on it — a lost update
-   merely rebuilds an immutable layout. *)
-let cache : (Prog.t * shape * t) list Atomic.t = Atomic.make []
-
-let cached prog shape =
-  let entries = Atomic.get cache in
-  match List.find_opt (fun (p, s, _) -> p == prog && s = shape) entries with
-  | Some (_, _, l) -> l
-  | None ->
-      let l = make prog shape in
-      Atomic.set cache
-        ((prog, shape, l) :: List.filteri (fun i _ -> i < 7) entries);
-      l
 
 (* --- writing a key ------------------------------------------------------ *)
 
@@ -246,6 +256,125 @@ let set_mask l b p m =
     Bytes.unsafe_set b (off + i) (Char.unsafe_chr ((m lsr (8 * i)) land 0xff))
   done
 
+let key b = Bytes.unsafe_to_string b
+
+(* --- compiled instructions ---------------------------------------------- *)
+
+(* Each instruction with the offsets it touches: its location's memory slot
+   and buffer byte, its reservation row, its target register's slot, and
+   its value expression with registers resolved to slots ([-1] for a
+   register the thread never writes: reading it raises, as [Exp.eval]
+   does on an unbound register). *)
+let compile_op l p instr =
+  let reg r =
+    match Smap.find_opt r l.reg_id.(p) with
+    | Some i -> l.reg_off.(p) + (i * l.vw)
+    | None -> -1
+  in
+  let rec vexp = function
+    | Exp.Const c -> Const c
+    | Exp.Reg r -> Reg (reg r, r)
+    | Exp.Add (a, b) -> Add (vexp a, vexp b)
+    | Exp.Sub (a, b) -> Sub (vexp a, vexp b)
+  in
+  let loc = Instr.location instr in
+  let lid =
+    match loc with Some x -> find "location" l.loc_id x + 1 | None -> 0
+  in
+  {
+    instr;
+    mem = (lid - 1) * l.vw;
+    lid;
+    row =
+      (match loc with
+      | Some x -> Option.value (Smap.find_opt x l.resv_row) ~default:(-1)
+      | None -> -1);
+    dst = (match Instr.target_register instr with Some r -> reg r | None -> -1);
+    value =
+      (match instr with
+      | Instr.Store { value; _ } | Instr.Rmw { value; _ } -> vexp value
+      | _ -> Const 0);
+  }
+
+let compile l =
+  let code =
+    Array.mapi
+      (fun p t -> Array.of_list (List.map (compile_op l p) t))
+      (Array.of_list (Prog.threads l.prog))
+  in
+  let b = create l in
+  set_memory l b (Prog.initial_memory l.prog);
+  { l with code; init = key b }
+
+(* Layouts depend only on the program and the shape; keep the last few.
+   An [Atomic] so exploration domains can race on it — a lost update
+   merely rebuilds an immutable layout. *)
+let cache : (Prog.t * shape * t) list Atomic.t = Atomic.make []
+
+let cached prog shape =
+  let entries = Atomic.get cache in
+  match List.find_opt (fun (p, s, _) -> p == prog && s = shape) entries with
+  | Some (_, _, l) -> l
+  | None ->
+      let l = compile (make prog shape) in
+      Atomic.set cache
+        ((prog, shape, l) :: List.filteri (fun i _ -> i < 7) entries);
+      l
+
+let memo f =
+  let cell = Atomic.make None in
+  fun l ->
+    match Atomic.get cell with
+    | Some (l', v) when l' == l -> v
+    | _ ->
+        let v = f l in
+        Atomic.set cell (Some (l, v));
+        v
+
+let prog l = l.prog
+let nprocs l = l.nprocs
+let code l = l.code
+let initial l = l.init
+let loc_name l lid = l.locs.(lid - 1)
+
+(* --- stepping on a key --------------------------------------------------- *)
+
+let get_be b off w =
+  let c = ref 0 in
+  for i = 0 to w - 1 do
+    c := (!c lsl 8) lor Char.code (Bytes.unsafe_get b (off + i))
+  done;
+  !c
+
+(* The inverse of [put_value] on a nonzero code. *)
+let decode code =
+  let n = code - 1 in
+  (n lsr 1) lxor -(n land 1)
+
+let get l b off =
+  let c = get_be b off l.vw in
+  if c = 0 then 0 else decode c
+
+let put = put_value
+
+let rec eval l b = function
+  | Const c -> c
+  | Reg (off, r) ->
+      let c = if off < 0 then 0 else get_be b off l.vw in
+      if c = 0 then raise (Exp.Unbound_register r) else decode c
+  | Add (x, y) -> eval l b x + eval l b y
+  | Sub (x, y) -> eval l b x - eval l b y
+
+let counter l b p i = get_be b (l.proc_off.(p) + (i * l.cw)) l.cw
+
+let mask l b p =
+  let off = l.mask_off.(p) in
+  let m = ref 0 in
+  for i = l.reg_off.(p) - off - 1 downto 0 do
+    m := (!m lsl 8) lor Char.code (Bytes.unsafe_get b (off + i))
+  done;
+  !m
+
 let entry_off l p slot =
   if slot >= l.buf_cap.(p) then
     failwith
@@ -253,19 +382,86 @@ let entry_off l p slot =
          l.buf_cap.(p));
   l.buf_off.(p) + (slot * l.entry)
 
-let set_entry l b p slot loc v =
-  let off = entry_off l p slot in
-  Bytes.unsafe_set b off (Char.unsafe_chr (find "location" l.loc_id loc + 1));
-  put_value l b (off + 1) v
+(* Entries fill a buffer from slot 0 and a used entry's location byte is
+   never 0, so the first zero byte ends the buffer. *)
+let buffered l b p =
+  let off = l.buf_off.(p) and n = ref 0 in
+  while
+    !n < l.buf_cap.(p) && Bytes.unsafe_get b (off + (!n * l.entry)) <> '\000'
+  do
+    incr n
+  done;
+  !n
+
+let entry_lid l b p slot =
+  Char.code (Bytes.unsafe_get b (l.buf_off.(p) + (slot * l.entry)))
+
+let entry_counter l b p slot j =
+  get_be b (l.buf_off.(p) + (slot * l.entry) + 1 + l.vw + (j * l.cw)) l.cw
 
 let set_entry_counter l b p slot j v =
   put_count l b (entry_off l p slot + 1 + l.vw + (j * l.cw)) v
 
-let set_reservation l b ~loc ~proc v =
-  let row = find "reservation location" l.resv_row loc in
-  put_count l b (l.resv_off + (((row * l.nprocs) + proc) * l.cw)) (v + 1)
+let forward l b p lid =
+  let off = l.buf_off.(p) and found = ref (-1) in
+  for s = 0 to buffered l b p - 1 do
+    if Char.code (Bytes.unsafe_get b (off + (s * l.entry))) = lid then
+      found := off + (s * l.entry) + 1
+  done;
+  !found
 
-let key b = Bytes.unsafe_to_string b
+let push l b p lid v =
+  let slot = buffered l b p in
+  let off = entry_off l p slot in
+  Bytes.unsafe_set b off (Char.unsafe_chr lid);
+  put_value l b (off + 1) v;
+  slot
+
+(* Perform entry [slot]: its value bytes go to its location's memory slot
+   unchanged, and the younger entries shift down over it. *)
+let drain l b p slot =
+  let off = entry_off l p slot in
+  let last = l.buf_off.(p) + ((buffered l b p - 1) * l.entry) in
+  Bytes.blit b (off + 1) b ((Char.code (Bytes.get b off) - 1) * l.vw) l.vw;
+  Bytes.blit b (off + l.entry) b off (last - off);
+  Bytes.fill b last l.entry '\000'
+
+let reservation_rows l = Array.length l.resv_locs
+let cell l row proc = l.resv_off + (((row * l.nprocs) + proc) * l.cw)
+let reservation l b ~row ~proc = get_be b (cell l row proc) l.cw - 1
+
+let set_reservation l b ~row ~proc v = put_count l b (cell l row proc) (v + 1)
+
+let clear_reservation l b ~row ~proc =
+  Bytes.fill b (cell l row proc) l.cw '\000'
+
+let reserved l b =
+  let i = ref l.resv_off in
+  while !i < l.size && Bytes.unsafe_get b !i = '\000' do
+    incr i
+  done;
+  !i < l.size
+
+let final l b =
+  let memory = ref Smap.empty in
+  Array.iteri
+    (fun i name ->
+      let c = get_be b (i * l.vw) l.vw in
+      if c <> 0 then memory := Smap.add name (decode c) !memory)
+    l.locs;
+  let regs =
+    Array.mapi
+      (fun p names ->
+        let m = ref Smap.empty in
+        Array.iteri
+          (fun i r ->
+            let c = get_be b (l.reg_off.(p) + (i * l.vw)) l.vw in
+            if c <> 0 then m := Smap.add r (decode c) !m)
+          names;
+        !m)
+      l.regs
+  in
+  Final.make ~memory:!memory ~regs
 
 (* --- automorphisms as index maps ---------------------------------------- *)
 

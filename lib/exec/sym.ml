@@ -72,8 +72,9 @@ let apply_final pi (f : Final.t) =
 (* --- acting on packed keys ----------------------------------------------
 
    Compiled against a layout, an automorphism is a byte gather (plus the
-   location relabeling of buffer entries): [canon (sigma st)] is exactly
-   [permute (compile_one sigma) (canon st)], because the layout places
+   location relabeling of buffer entries): it commutes with every step a
+   machine takes on a key, and [Sem.key (sigma st)] is exactly
+   [permute (compile_one sigma) (Sem.key st)], because the layout places
    every component at an offset that depends only on its processor,
    register or location index. *)
 

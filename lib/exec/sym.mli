@@ -57,9 +57,10 @@ val apply_final : perm -> Final.t -> Final.t
 
 val compile : Layout.t -> t -> Layout.map array
 (** Every non-identity automorphism of the group as a byte map over the
-    layout's keys ({!Layout.index_map}).  For the state map [sigma] an
-    automorphism induces, [canon (sigma st) = permute m (canon st)]: the
-    equation orbit pruning rests on. *)
+    layout's keys ({!Layout.index_map}).  A machine state is its key, and
+    [successors (permute m k) = permute m (successors k)]; for the SC
+    semantics' states, [Sem.key (sigma st) = permute m (Sem.key st)]:
+    the equations orbit pruning rests on. *)
 
 val permute : Layout.map -> string -> string
 (** The image of a key. *)

@@ -213,19 +213,18 @@ let por_min_instrs_default = 11
 let spill_threshold_default = 2000
 
 module Make (M : Machine_sig.MACHINE) = struct
-  (* Keys are packed strings (see {!Layout}): the table, the shard
-     selector, the Bloom filter and the spill store hash and compare their
-     bytes directly. *)
+  (* A state is its packed key (see {!Layout}): the frontier, the table,
+     the shard selector, the Bloom filter and the spill store hold, hash
+     and compare its bytes directly. *)
   module H = Hashtbl.Make (String)
 
-  (* The transposition-table key of a state: the least packed key of its
-     orbit under the compiled automorphisms ([maps = [||]] without
-     symmetry — then the state's own key).  [hits] counts states whose
-     representative is a proper image. *)
-  let table_key layout maps hits st =
-    let k = M.canon layout st in
-    let m = Sym.orbit_min maps k in
-    if m != k then incr hits;
+  (* The transposition-table key of a state: the least key of its orbit
+     under the compiled automorphisms ([maps = [||]] without symmetry —
+     then the state itself).  [hits] counts states whose representative
+     is a proper image. *)
+  let table_key maps hits st =
+    let m = Sym.orbit_min maps st in
+    if m != st then incr hits;
     m
 
   (* --- snapshots ------------------------------------------------------------ *)
@@ -252,7 +251,7 @@ module Make (M : Machine_sig.MACHINE) = struct
     s_sym : bool;  (** symmetry reduction active for the run *)
     s_visited : visited_repr;
     s_claimed : int;
-    s_frontier : (M.state * Machine_sig.action list) list;
+    s_frontier : (string * Machine_sig.action list) list;
     s_acc : Final.Set.t;
     s_expanded : int;
     s_sym_hits : int;
@@ -261,10 +260,10 @@ module Make (M : Machine_sig.MACHINE) = struct
     s_degraded_at : int option;
   }
 
-  (* "explore4": visited keys became packed strings (explore3 carried
-     structural tuples); older snapshots are rejected by kind rather than
-     misread. *)
-  let snap_kind = "weakord.explore4/" ^ M.name
+  (* "explore5": frontier states became packed keys (explore4 carried
+     machine state records, explore3 structural visited tuples); older
+     snapshots are rejected by kind rather than misread. *)
+  let snap_kind = "weakord.explore5/" ^ M.name
 
   let fingerprint prog =
     Format.asprintf "%s|%a" (Prog.name prog) Prog.pp prog
@@ -319,8 +318,8 @@ module Make (M : Machine_sig.MACHINE) = struct
      on the initial state's key (every key of a layout has the same
      length) — deterministic, so memory-budget behaviour is
      reproducible. *)
-  let entry_bytes_estimate layout prog =
-    let k = M.canon layout (M.initial prog) in
+  let entry_bytes_estimate layout =
+    let k = Layout.initial layout in
     (Obj.reachable_words (Obj.repr k) + 4) * (Sys.word_size / 8)
 
   (* Bytes a visited table of [n] keys occupies: [entry_bytes] per key plus
@@ -337,7 +336,7 @@ module Make (M : Machine_sig.MACHINE) = struct
 
   (* A frontier entry: the state plus the sleep set it arrives with
      (always [[]] without reduction). *)
-  type fentry = { fs : M.state; fsleep : Machine_sig.action list }
+  type fentry = { fs : string; fsleep : Machine_sig.action list }
 
   (* [run_seq] is both the one-domain engine (ample + sleep sets when the
      oracle is on and [use_sleep]) and the adaptive probe for a
@@ -363,10 +362,10 @@ module Make (M : Machine_sig.MACHINE) = struct
     let ample_hits = ref 0 in
     let suppressed = ref 0 in
     let sym_hits = ref 0 in
-    let stack = ref [ { fs = M.initial prog; fsleep = [] } ] in
+    let stack = ref [ { fs = Layout.initial layout; fsleep = [] } ] in
     let stop = ref None in
     let spilled = ref false in
-    let entry_bytes = entry_bytes_estimate layout prog in
+    let entry_bytes = entry_bytes_estimate layout in
     let visited_bytes n = table_bytes ~entry_bytes ~buckets:table_buckets n in
     (* Restore a resume point before the sweep starts. *)
     (match resumed with
@@ -520,7 +519,7 @@ module Make (M : Machine_sig.MACHINE) = struct
        smaller sleep set knows exactly what to re-fire. *)
     let expand_fresh st ~stored ~sleep =
       incr expanded;
-      match M.final prog st with
+      match M.final layout st with
       | Some f ->
           (* Close recorded outcomes under the automorphism group: the
              skipped orbit siblings' finals are exactly these images. *)
@@ -530,10 +529,11 @@ module Make (M : Machine_sig.MACHINE) = struct
             perms
       | None -> (
           match !oracle with
-          | None -> List.iter (fun s -> push s []) (M.successors prog st)
+          | None ->
+              List.iter (fun (_, s) -> push s []) (M.successors layout st)
           | Some o -> (
               incr oracle_calls;
-              let succs = o.Machine_sig.successors_labeled st in
+              let succs = M.successors layout st in
               let sleep = if use_sleep then sleep else [] in
               (match stored with
               | Some r when sleep <> [] ->
@@ -592,7 +592,7 @@ module Make (M : Machine_sig.MACHINE) = struct
         stored := keep;
         match !oracle with
         | None -> ()
-        | Some o ->
+        | Some _ ->
             let fired = ref [] in
             List.iter
               (fun (a, s') ->
@@ -603,7 +603,7 @@ module Make (M : Machine_sig.MACHINE) = struct
                        (List.rev_append !fired sleep));
                   fired := a :: !fired
                 end)
-              (o.Machine_sig.successors_labeled st)
+              (M.successors layout st)
       end
     in
     let iters = ref 0 in
@@ -638,7 +638,7 @@ module Make (M : Machine_sig.MACHINE) = struct
           if !stop <> None || !spilled then running := false
           else begin
             stack := rest;
-            let kk = table_key layout maps sym_hits st in
+            let kk = table_key maps sym_hits st in
             (match store with
             | Some sp ->
                 if Spill_store.add sp kk then begin
@@ -736,7 +736,7 @@ module Make (M : Machine_sig.MACHINE) = struct
     next_id : int Atomic.t;
     queue_lock : Mutex.t;
     work : Condition.t;
-    mutable pending : M.state list;  (** overflow frontier, any order *)
+    mutable pending : string list;  (** overflow frontier, any order *)
     mutable idle : int;
     mutable stop : bool;
     hungry : int Atomic.t;  (** mirrors [idle] for lock-free peeking *)
@@ -753,7 +753,7 @@ module Make (M : Machine_sig.MACHINE) = struct
             mutex serializes claims, and duplicates refund the fuel they
             reserved (an immutable run cannot be unclaimed) *)
     leftover_lock : Mutex.t;
-    mutable leftovers : M.state list;
+    mutable leftovers : string list;
         (** unclaimed states parked by stopping workers — the other half
             of the resume frontier *)
   }
@@ -857,7 +857,7 @@ module Make (M : Machine_sig.MACHINE) = struct
      schedule-independent.  (Sleep sets are a property of the visit
      order; they stay sequential.)  Per-worker reduction counters avoid
      atomic traffic; the parent sums them. *)
-  let worker sh oracle perms layout maps prog =
+  let worker sh oracle perms layout maps =
     let acc = ref Final.Set.empty in
     let oracle_calls = ref 0 in
     let ample_hits = ref 0 in
@@ -866,7 +866,7 @@ module Make (M : Machine_sig.MACHINE) = struct
     let local = ref [] in
     let iters = ref 0 in
     let expand st =
-      match M.final prog st with
+      match M.final layout st with
       | Some f ->
           acc := Final.Set.add f !acc;
           List.iter
@@ -875,10 +875,12 @@ module Make (M : Machine_sig.MACHINE) = struct
       | None -> (
           match oracle with
           | None ->
-              List.iter (fun s -> local := s :: !local) (M.successors prog st)
+              List.iter
+                (fun (_, s) -> local := s :: !local)
+                (M.successors layout st)
           | Some o -> (
               incr oracle_calls;
-              let succs = o.Machine_sig.successors_labeled st in
+              let succs = M.successors layout st in
               match o.Machine_sig.ample st succs with
               | Some (_, s') ->
                   incr ample_hits;
@@ -924,7 +926,7 @@ module Make (M : Machine_sig.MACHINE) = struct
         else
           (* A deterministic function of the state alone, so symmetry
              pruning keeps the claimed-state set schedule-independent. *)
-          let kk = table_key layout maps sym_hits st in
+          let kk = table_key maps sym_hits st in
           match sh.store with
           | Some sp ->
               (* Fuel is reserved *before* the claim: a spilled claim
@@ -1001,7 +1003,7 @@ module Make (M : Machine_sig.MACHINE) = struct
         next_id = Atomic.make 0;
         queue_lock = Mutex.create ();
         work = Condition.create ();
-        pending = [ M.initial prog ];
+        pending = [ Layout.initial layout ];
         idle = 0;
         stop = false;
         hungry = Atomic.make 0;
@@ -1012,7 +1014,7 @@ module Make (M : Machine_sig.MACHINE) = struct
         ndomains = domains;
         budget = rcfg.budget;
         cancel = rcfg.cancel;
-        entry_bytes = entry_bytes_estimate layout prog;
+        entry_bytes = entry_bytes_estimate layout;
         store;
         leftover_lock = Mutex.create ();
         leftovers = [];
@@ -1050,9 +1052,9 @@ module Make (M : Machine_sig.MACHINE) = struct
     in
     let others =
       Array.init (domains - 1) (fun _ ->
-          Domain.spawn (fun () -> worker sh oracle perms layout maps prog))
+          Domain.spawn (fun () -> worker sh oracle perms layout maps))
     in
-    let mine = worker sh oracle perms layout maps prog in
+    let mine = worker sh oracle perms layout maps in
     let results = Array.append [| mine |] (Array.map Domain.join others) in
     let acc =
       Array.fold_left
@@ -1168,8 +1170,9 @@ module Make (M : Machine_sig.MACHINE) = struct
     (* The cheap guard: below the instruction threshold the whole state
        space is a few thousand states and the oracle costs more than it
        saves — skip the machinery entirely. *)
+    let layout = Layout.cached prog M.shape in
     let oracle =
-      if reduce && Prog.num_instrs prog >= por_min_instrs then M.por prog
+      if reduce && Prog.num_instrs prog >= por_min_instrs then M.por layout
       else None
     in
     let reduce_on = oracle <> None in
@@ -1179,7 +1182,6 @@ module Make (M : Machine_sig.MACHINE) = struct
     let group = if rcfg.sym then Sym.cached prog else Sym.trivial in
     let perms = group.Sym.perms in
     let sym_on = perms <> [] in
-    let layout = Layout.cached prog M.shape in
     let maps = Sym.compile layout group in
     let resumed =
       Option.map (fun bytes -> decode_snap ~prog bytes) rcfg.resume

@@ -20,8 +20,6 @@
    not order the issuing processor's previous accesses (they still *honour*
    reservations — the acquire side — but do not place them). *)
 
-module Smap = Exp.Smap
-
 module type CONFIG = sig
   val machine_name : string
 
@@ -29,261 +27,129 @@ module type CONFIG = sig
 end
 
 module Make (C : CONFIG) = struct
-  type pending = { wloc : string; wval : int; seq : int }
-  type resv = { rproc : int; watermark : int }
-
-  type proc = {
-    next : int;
-    regs : int Smap.t;
-    pending : pending list;  (** issue order, oldest first *)
-    nseq : int;  (** next write sequence number *)
-  }
-
-  type state = {
-    memory : int Smap.t;
-    procs : proc array;
-    resvs : (string * resv list) list;  (** sorted by location *)
-  }
-
   let name = C.machine_name
 
-  let initial prog =
-    {
-      memory = Prog.initial_memory prog;
-      procs =
-        Array.init (Prog.num_threads prog) (fun _ ->
-            { next = 0; regs = Smap.empty; pending = []; nseq = 0 });
-      resvs = [];
-    }
-
-  let read_mem memory loc =
-    match Smap.find_opt loc memory with Some v -> v | None -> 0
-
-  let forwarded pending loc =
-    List.fold_left
-      (fun acc pw -> if String.equal pw.wloc loc then Some pw.wval else acc)
-      None pending
-
-  let visible st p loc =
-    match forwarded st.procs.(p).pending loc with
-    | Some v -> v
-    | None -> read_mem st.memory loc
-
-  (* Drop satisfied reservations: a reservation stands only while its
-     processor still has pending writes at or below the watermark. *)
-  let cleanup st =
-    let live r =
-      List.exists
-        (fun pw -> pw.seq <= r.watermark)
-        st.procs.(r.rproc).pending
-    in
-    let resvs =
-      List.filter_map
-        (fun (l, rs) ->
-          match List.filter live rs with [] -> None | rs -> Some (l, rs))
-        st.resvs
-    in
-    { st with resvs }
-
-  let blocked_by_reservation st p loc =
-    match List.assoc_opt loc st.resvs with
-    | None -> false
-    | Some rs -> List.exists (fun r -> r.rproc <> p) rs
-
-  (* Place (or refresh) [p]'s reservation on [loc], if it has pending
-     writes. *)
-  let reserve st p loc =
-    match st.procs.(p).pending with
-    | [] -> st
-    | pending ->
-        let watermark =
-          List.fold_left (fun m pw -> max m pw.seq) min_int pending
-        in
-        let mine = { rproc = p; watermark } in
-        let rec update = function
-          | [] -> [ (loc, [ mine ]) ]
-          | (l, rs) :: rest when String.equal l loc ->
-              let rs = mine :: List.filter (fun r -> r.rproc <> p) rs in
-              let rs = List.sort (fun a b -> compare a.rproc b.rproc) rs in
-              (l, rs) :: rest
-          | entry :: rest -> entry :: update rest
-        in
-        let resvs =
-          if List.mem_assoc loc st.resvs then update st.resvs
-          else List.sort (fun (a, _) (b, _) -> String.compare a b)
-              ((loc, [ mine ]) :: st.resvs)
-        in
-        { st with resvs }
-
-  let with_proc st p proc =
-    let procs = Array.copy st.procs in
-    procs.(p) <- proc;
-    { st with procs }
-
-  let advance ?(regs = fun r -> r) ?(pending = fun w -> w) ?(nseq = fun n -> n)
-      st p =
-    let pr = st.procs.(p) in
-    with_proc st p
-      {
-        next = pr.next + 1;
-        regs = regs pr.regs;
-        pending = pending pr.pending;
-        nseq = nseq pr.nseq;
-      }
-
-  (* Commit a synchronization operation: check foreign reservations, update
-     memory atomically, optionally place our own reservation. *)
-  let commit_sync st p loc ~reserves ~update =
-    if blocked_by_reservation st p loc then []
-    else
-      match update (read_mem st.memory loc) with
-      | None -> []
-      | Some (new_mem_value, regs) ->
-          let st =
-            match new_mem_value with
-            | Some v -> { st with memory = Smap.add loc v st.memory }
-            | None -> st
-          in
-          let st = advance ~regs st p in
-          let st = if reserves then reserve st p loc else st in
-          [ cleanup st ]
-
-  let issue prog st p =
-    let pr = st.procs.(p) in
-    match List.nth_opt (Prog.thread prog p) pr.next with
-    | None -> []
-    | Some instr -> (
-        match instr with
-        | Instr.Load { kind = Instr.Data; loc; reg } ->
-            let v = visible st p loc in
-            [ advance ~regs:(Smap.add reg v) st p ]
-        | Instr.Store { kind = Instr.Data; loc; value } ->
-            let v = Exp.eval pr.regs value in
-            [
-              advance
-                ~pending:(fun w ->
-                  w @ [ { wloc = loc; wval = v; seq = pr.nseq } ])
-                ~nseq:(fun n -> n + 1)
-                st p;
-            ]
-        | Instr.Await { kind = Instr.Data; loc; expect; reg } ->
-            if visible st p loc = expect then
-              let regs =
-                match reg with Some r -> Smap.add r expect | None -> fun x -> x
-              in
-              [ advance ~regs st p ]
-            else []
-        | Instr.Load { kind = Instr.Sync; loc; reg } ->
-            commit_sync st p loc ~reserves:C.read_only_syncs_reserve
-              ~update:(fun v -> Some (None, Smap.add reg v))
-        | Instr.Await { kind = Instr.Sync; loc; expect; reg } ->
-            commit_sync st p loc ~reserves:C.read_only_syncs_reserve
-              ~update:(fun v ->
-                if v <> expect then None
-                else
-                  let regs =
-                    match reg with
-                    | Some r -> Smap.add r expect
-                    | None -> fun x -> x
-                  in
-                  Some (None, regs))
-        | Instr.Store { kind = Instr.Sync; loc; value } ->
-            let v = Exp.eval pr.regs value in
-            commit_sync st p loc ~reserves:true ~update:(fun _ ->
-                Some (Some v, fun r -> r))
-        | Instr.Rmw { loc; reg; value; _ } ->
-            commit_sync st p loc ~reserves:true ~update:(fun old ->
-                let regs = Smap.add reg old pr.regs in
-                let v = Exp.eval regs value in
-                Some (Some v, fun _ -> regs))
-        | Instr.Lock { loc } ->
-            commit_sync st p loc ~reserves:true ~update:(fun v ->
-                if v <> 0 then None else Some (Some 1, fun r -> r))
-        | Instr.Fence -> if pr.pending = [] then [ cleanup (advance st p) ] else [])
-
-  (* Globally perform a pending write; same-location writes of a processor
-     leave in issue order. *)
-  let perform st p =
-    let pr = st.procs.(p) in
-    let rec candidates seen_locs before acc = function
-      | [] -> acc
-      | pw :: rest ->
-          let acc =
-            if List.mem pw.wloc seen_locs then acc
-            else begin
-              let st' =
-                { st with memory = Smap.add pw.wloc pw.wval st.memory }
-              in
-              let st' =
-                with_proc st' p { pr with pending = List.rev_append before rest }
-              in
-              cleanup st' :: acc
-            end
-          in
-          candidates (pw.wloc :: seen_locs) (pw :: before) acc rest
-    in
-    candidates [] [] [] pr.pending
-
-  let successors prog st =
-    let acc = ref [] in
-    for p = Array.length st.procs - 1 downto 0 do
-      acc := issue prog st p @ perform st p @ !acc
-    done;
-    !acc
-
-  let final prog st =
-    let complete =
-      Array.to_list st.procs
-      |> List.mapi (fun p pr ->
-             pr.pending = [] && pr.next >= List.length (Prog.thread prog p))
-      |> List.for_all Fun.id
-    in
-    if not complete then None
-    else
-      Some
-        (Final.make ~memory:st.memory
-           ~regs:(Array.map (fun pr -> pr.regs) st.procs))
-
-  (* Sequence numbers are per-processor counters, so they move with the
-     processor unchanged; a reservation is a cell of the (location,
-     processor) matrix holding its watermark. *)
+  (* Counter 0 is the program counter, counter 1 the next write sequence
+     number; both move with the processor unchanged.  A buffer entry
+     carries its write's sequence number, and a reservation is a cell of
+     the (location, processor) matrix holding its watermark. *)
   let shape =
     { Layout.counters = 2; mask = false; buffer = Some 1; reservations = true }
 
-  let canon l st =
-    let b = Layout.create l in
-    Layout.set_memory l b st.memory;
-    Array.iteri
-      (fun p pr ->
-        Layout.set_counter l b p 0 pr.next;
-        Layout.set_counter l b p 1 pr.nseq;
-        Layout.set_regs l b p pr.regs;
-        List.iteri
-          (fun i w ->
-            Layout.set_entry l b p i w.wloc w.wval;
-            Layout.set_entry_counter l b p i 0 w.seq)
-          pr.pending)
-      st.procs;
-    List.iter
-      (fun (loc, rs) ->
-        List.iter
-          (fun r -> Layout.set_reservation l b ~loc ~proc:r.rproc r.watermark)
-          rs)
-      st.resvs;
-    Layout.key b
+  (* Whether one of [q]'s pending writes from entry [i] on is at or below
+     the watermark [w]. *)
+  let rec live l b q w i =
+    i < Layout.buffered l b q
+    && (Layout.entry_counter l b q i 0 <= w || live l b q w (i + 1))
+
+  (* Drop satisfied reservations: a reservation stands only while its
+     processor still has pending writes at or below the watermark. *)
+  let cleanup l b =
+    for row = 0 to Layout.reservation_rows l - 1 do
+      for q = 0 to Layout.nprocs l - 1 do
+        let w = Layout.reservation l b ~row ~proc:q in
+        if w >= 0 && not (live l b q w 0) then
+          Layout.clear_reservation l b ~row ~proc:q
+      done
+    done
+
+  (* Whether a processor other than [p], from [q] on, holds a reservation
+     in [row]. *)
+  let rec blocked_by_reservation l s p row q =
+    q < Layout.nprocs l
+    && ((q <> p && Layout.reservation l s ~row ~proc:q >= 0)
+       || blocked_by_reservation l s p row (q + 1))
+
+  (* Place (or refresh) [p]'s reservation on [row], if it has pending
+     writes: the watermark is the youngest of them. *)
+  let reserve l b p row =
+    let n = Layout.buffered l b p in
+    if n > 0 then begin
+      let w = ref 0 in
+      for i = 0 to n - 1 do
+        w := max !w (Layout.entry_counter l b p i 0)
+      done;
+      Layout.set_reservation l b ~row ~proc:p !w
+    end
+
+  (* Commit a synchronization operation: check foreign reservations,
+     update memory and registers atomically ([update]), optionally place
+     our own reservation. *)
+  let commit_sync l s p pc (op : Layout.op) ~reserves ~update =
+    if blocked_by_reservation l s p op.row 0 then None
+    else begin
+      let b = Step.advance l s p pc in
+      update b;
+      if reserves then reserve l b p op.row;
+      cleanup l b;
+      Some b
+    end
+
+  let issue l s p pc (op : Layout.op) =
+    match op.instr with
+    | Instr.Load { kind = Instr.Data; _ } ->
+        let b = Step.advance l s p pc in
+        Layout.put l b op.dst (Step.visible l s p op);
+        Some b
+    | Instr.Store { kind = Instr.Data; _ } ->
+        let v = Layout.eval l s op.value in
+        let seq = Layout.counter l s p 1 in
+        let b = Step.advance l s p pc in
+        Layout.set_entry_counter l b p (Layout.push l b p op.lid v) 0 seq;
+        Layout.set_counter l b p 1 (seq + 1);
+        Some b
+    | Instr.Await { kind = Instr.Data; expect; _ } ->
+        if Step.visible l s p op <> expect then None
+        else
+          let b = Step.advance l s p pc in
+          if op.dst >= 0 then Layout.put l b op.dst expect;
+          Some b
+    | Instr.Load _ ->
+        commit_sync l s p pc op ~reserves:C.read_only_syncs_reserve
+          ~update:(fun b -> Layout.put l b op.dst (Layout.get l s op.mem))
+    | Instr.Await { expect; _ } ->
+        if Layout.get l s op.mem <> expect then None
+        else
+          commit_sync l s p pc op ~reserves:C.read_only_syncs_reserve
+            ~update:(fun b -> if op.dst >= 0 then Layout.put l b op.dst expect)
+    | Instr.Store _ ->
+        let v = Layout.eval l s op.value in
+        commit_sync l s p pc op ~reserves:true ~update:(fun b ->
+            Layout.put l b op.mem v)
+    | Instr.Rmw _ ->
+        commit_sync l s p pc op ~reserves:true ~update:(fun b ->
+            Layout.put l b op.dst (Layout.get l s op.mem);
+            Layout.put l b op.mem (Layout.eval l b op.value))
+    | Instr.Lock _ ->
+        if Layout.get l s op.mem <> 0 then None
+        else
+          commit_sync l s p pc op ~reserves:true ~update:(fun b ->
+              Layout.put l b op.mem 1)
+    | Instr.Fence ->
+        if Layout.buffered l s p > 0 then None
+        else
+          let b = Step.advance l s p pc in
+          cleanup l b;
+          Some b
+
+  (* Globally perform a pending write; same-location writes of a processor
+     leave in issue order. *)
+  let perform l b p slot =
+    Layout.drain l b p slot;
+    cleanup l b
 
   (* --- partial-order reduction oracle -----------------------------------
 
      Liveness invariant: in every reachable state, every reservation is
      live (its owner still has a pending write at or below the
-     watermark).  Initially there are none; [commit_sync] and [perform] —
+     watermark).  Initially there are none; sync commits and drains —
      the only steps that create reservations or drop pending writes — end
      in [cleanup], and data issues only append writes with sequence
      numbers above every existing watermark.  Hence [cleanup] is a no-op
      inside fences and sync commits, which makes the labels below honest.
 
      Labels (issues carry [a_id = next], drains [-(slot + 1)], both stable
-     because [canon] includes the pending list):
+     because the key holds the pending buffer):
 
      - data store issue, fence: local ([a_loc = ""]) — they touch only the
        issuing processor's registers/pending/counter, and no foreign step
@@ -322,116 +188,70 @@ module Make (C : CONFIG) = struct
      Data awaits (value-blocking) and sync-class issues (reservation
      traffic) are never ample. *)
 
-  let issue_labeled prog st p =
-    let pr = st.procs.(p) in
-    match List.nth_opt (Prog.thread prog p) pr.next with
-    | None -> []
-    | Some instr ->
-        let a_loc, a_write, a_sync =
-          match instr with
-          | Instr.Store { kind = Instr.Data; _ } | Instr.Fence ->
-              ("", false, false)
-          | Instr.Load { kind = Instr.Data; loc; _ }
-          | Instr.Await { kind = Instr.Data; loc; _ } ->
-              (loc, false, false)
-          | Instr.Load { kind = Instr.Sync; loc; _ }
-          | Instr.Await { kind = Instr.Sync; loc; _ } ->
-              (loc, C.read_only_syncs_reserve, true)
-          | Instr.Store { kind = Instr.Sync; loc; _ }
-          | Instr.Rmw { loc; _ }
-          | Instr.Lock { loc } ->
-              (loc, true, true)
+  (* Issue labels, and whether the program has any synchronization-class
+     instruction (then drains are [a_sync]). *)
+  let static =
+    Layout.memo (fun l ->
+        let code = Layout.code l in
+        let labels =
+          Array.mapi
+            (fun p ->
+              Array.mapi (fun j (op : Layout.op) ->
+                  let loc =
+                    Option.value (Instr.location op.instr) ~default:""
+                  in
+                  match op.instr with
+                  | Instr.Store { kind = Instr.Data; _ } | Instr.Fence ->
+                      Step.label p j "" false false
+                  | Instr.Load { kind = Instr.Data; _ }
+                  | Instr.Await { kind = Instr.Data; _ } ->
+                      Step.label p j loc false false
+                  | Instr.Load _ | Instr.Await _ ->
+                      Step.label p j loc C.read_only_syncs_reserve true
+                  | Instr.Store _ | Instr.Rmw _ | Instr.Lock _ ->
+                      Step.label p j loc true true))
+            code
         in
-        let a =
-          { Machine_sig.a_proc = p; a_id = pr.next; a_loc; a_write; a_sync }
+        let has_sync =
+          Array.exists
+            (Array.exists (fun (op : Layout.op) ->
+                 Por_static.is_sync_class op.instr))
+            code
         in
-        List.map (fun st' -> (a, st')) (issue prog st p)
+        (labels, has_sync))
 
-  let perform_labeled ~drain_sync st p =
-    let pr = st.procs.(p) in
-    let rec candidates i seen_locs before acc = function
-      | [] -> acc
-      | pw :: rest ->
-          let acc =
-            if List.mem pw.wloc seen_locs then acc
-            else begin
-              let st' =
-                { st with memory = Smap.add pw.wloc pw.wval st.memory }
-              in
-              let st' =
-                with_proc st' p { pr with pending = List.rev_append before rest }
-              in
-              ( {
-                  Machine_sig.a_proc = p;
-                  a_id = -(i + 1);
-                  a_loc = pw.wloc;
-                  a_write = true;
-                  a_sync = drain_sync;
-                },
-                cleanup st' )
-              :: acc
-            end
-          in
-          candidates (i + 1) (pw.wloc :: seen_locs) (pw :: before) acc rest
-    in
-    candidates 0 [] [] [] pr.pending
+  let successors l k =
+    let labels, has_sync = static l in
+    Step.in_order l k ~labels ~issue ~drain:Step.drains ~perform
+      ~drain_sync:has_sync
 
-  let successors_labeled ~drain_sync prog st =
-    let acc = ref [] in
-    for p = Array.length st.procs - 1 downto 0 do
-      acc := issue_labeled prog st p @ perform_labeled ~drain_sync st p @ !acc
-    done;
-    !acc
+  let final = Step.final
 
-  let por prog =
-    let info = Por_static.cached prog in
-    let nthreads = Prog.num_threads prog in
-    let has_sync =
-      let rec loop p =
-        p < nthreads
-        && (Por_static.sync_remains info ~p ~j:0 || loop (p + 1))
-      in
-      loop 0
-    in
-    (* No other processor holds a pending write on [loc], nor a
-       not-yet-issued write ([write_only]) / access of it. *)
-    let foreign_clear ~write_only st p loc =
-      let ok = ref true in
-      Array.iteri
-        (fun q pr ->
-          if q <> p && !ok then
-            if
-              (if write_only then
-                 Por_static.write_remains info ~p:q ~j:pr.next loc
-               else Por_static.access_remains info ~p:q ~j:pr.next loc)
-              || List.exists (fun pw -> String.equal pw.wloc loc) pr.pending
-            then ok := false)
-        st.procs;
-      !ok
-    in
-    let ample st succs =
+  let por l =
+    let info = Por_static.cached (Layout.prog l) in
+    let code = Layout.code l in
+    let ample k succs =
+      let s = Bytes.unsafe_of_string k and rem = Step.remaining l in
       List.find_opt
         (fun ((a : Machine_sig.action), _) ->
+          let p = a.a_proc in
           if a.a_loc = "" then true
           else if a.a_id >= 0 then
-            match info.Por_static.instrs.(a.a_proc).(a.a_id) with
-            | Instr.Load { kind = Instr.Data; _ } ->
-                foreign_clear ~write_only:true st a.a_proc a.a_loc
+            match code.(p).(a.a_id) with
+            | { Layout.instr = Instr.Load { kind = Instr.Data; _ }; lid; _ } ->
+                Step.foreign_clear l rem s ~bit:2 p lid 0
             | _ -> false
           else
-            st.resvs = []
+            (not (Layout.reserved l s))
             && (not
-                  (Por_static.sync_remains info ~p:a.a_proc
-                     ~j:st.procs.(a.a_proc).next))
-            && foreign_clear ~write_only:false st a.a_proc a.a_loc)
+                  (Por_static.sync_remains info ~p
+                     ~j:(Layout.counter l s p 0)))
+            && Step.foreign_clear l rem s ~bit:1 p
+                 (Layout.entry_lid l s p (-a.a_id - 1))
+                 0)
         succs
     in
-    Some
-      {
-        Machine_sig.successors_labeled =
-          successors_labeled ~drain_sync:has_sync prog;
-        ample;
-      }
+    Some { Machine_sig.ample }
 end
 
 module Base = Make (struct

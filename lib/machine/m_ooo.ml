@@ -11,13 +11,13 @@
    respect to anything; it exists to demonstrate the violations of
    Figure 1. *)
 
-module Smap = Exp.Smap
-
-type proc = { executed : int; regs : int Smap.t }  (** [executed] is a bitmask *)
-
-type state = { memory : int Smap.t; procs : proc array }
-
 let name = "ooo"
+
+(* The executed bitmask indexes instructions; automorphisms map thread [p]'s
+   instruction [i] to the image thread's instruction [i], so the mask moves
+   with the processor unchanged. *)
+let shape =
+  { Layout.counters = 0; mask = true; buffer = None; reservations = false }
 
 (* Per-thread precedence masks: preds.(p).(j) is the bitmask of indices that
    must execute before instruction j of thread p. *)
@@ -56,117 +56,97 @@ let preds_of_prog prog =
           done;
           !mask))
 
-(* The masks depend only on the program; cache them across calls.  An
-   [Atomic] so parallel exploration domains can race on it safely — a lost
-   update merely recomputes the (immutable) masks. *)
-let preds_cache : (Prog.t * int array array) option Atomic.t = Atomic.make None
+(* Transition labels: every ready instruction executes atomically against
+   memory, so the label is just its location and direction; fences are
+   local (they only set an executed bit).  There is no global structure
+   beyond memory, so no label needs [a_sync]. *)
+let labels code =
+  Array.mapi
+    (fun p ->
+      Array.mapi (fun j (op : Layout.op) ->
+          let a_loc, a_write =
+            match op.instr with
+            | Instr.Fence -> ("", false)
+            | Instr.Load { loc; _ } | Instr.Await { loc; _ } -> (loc, false)
+            | Instr.Store { loc; _ } | Instr.Rmw { loc; _ } | Instr.Lock { loc }
+              ->
+                (loc, true)
+          in
+          Step.label p j a_loc a_write false))
+    code
 
-let preds prog =
-  match Atomic.get preds_cache with
-  | Some (p, masks) when p == prog -> masks
-  | Some _ | None ->
-      let masks = preds_of_prog prog in
-      Atomic.set preds_cache (Some (prog, masks));
-      masks
+(* Precedence masks and labels depend only on the program. *)
+let static =
+  Layout.memo (fun l ->
+      (preds_of_prog (Layout.prog l), labels (Layout.code l)))
 
-let initial prog =
-  {
-    memory = Prog.initial_memory prog;
-    procs =
-      Array.init (Prog.num_threads prog) (fun _ ->
-          { executed = 0; regs = Smap.empty });
-  }
+(* A copy of [s] with [p]'s executed mask at [m]. *)
+let mark l s p m =
+  let b = Bytes.copy s in
+  Layout.set_mask l b p m;
+  b
 
-let read_mem memory loc =
-  match Smap.find_opt loc memory with Some v -> v | None -> 0
+(* The successor of executing instruction [j] of [p] (executed mask [ex]),
+   or [None] while it is blocked on memory. *)
+let execute l s p ex j (op : Layout.op) =
+  let m = ex lor (1 lsl j) in
+  match op.instr with
+  | Instr.Load _ ->
+      let b = mark l s p m in
+      Layout.put l b op.dst (Layout.get l s op.mem);
+      Some b
+  | Instr.Store _ ->
+      let v = Layout.eval l s op.value in
+      let b = mark l s p m in
+      Layout.put l b op.mem v;
+      Some b
+  | Instr.Rmw _ ->
+      let b = mark l s p m in
+      Layout.put l b op.dst (Layout.get l s op.mem);
+      Layout.put l b op.mem (Layout.eval l b op.value);
+      Some b
+  | Instr.Await { expect; _ } ->
+      if Layout.get l s op.mem <> expect then None
+      else
+        let b = mark l s p m in
+        if op.dst >= 0 then Layout.put l b op.dst expect;
+        Some b
+  | Instr.Lock _ ->
+      if Layout.get l s op.mem <> 0 then None
+      else
+        let b = mark l s p m in
+        Layout.put l b op.mem 1;
+        Some b
+  | Instr.Fence -> Some (mark l s p m)
 
-let with_proc st p proc =
-  let procs = Array.copy st.procs in
-  procs.(p) <- proc;
-  { st with procs }
-
-let execute_instr instr st p j =
-  let pr = st.procs.(p) in
-  let mark regs = { executed = pr.executed lor (1 lsl j); regs } in
-  match instr with
-  | Instr.Load { loc; reg; _ } ->
-      let v = read_mem st.memory loc in
-      Some (with_proc st p (mark (Smap.add reg v pr.regs)))
-  | Instr.Store { loc; value; _ } ->
-      let v = Exp.eval pr.regs value in
-      Some (with_proc { st with memory = Smap.add loc v st.memory } p (mark pr.regs))
-  | Instr.Rmw { loc; reg; value; _ } ->
-      let old = read_mem st.memory loc in
-      let regs = Smap.add reg old pr.regs in
-      let v = Exp.eval regs value in
-      Some (with_proc { st with memory = Smap.add loc v st.memory } p (mark regs))
-  | Instr.Await { loc; expect; reg; _ } ->
-      if read_mem st.memory loc = expect then
-        let regs =
-          match reg with Some r -> Smap.add r expect pr.regs | None -> pr.regs
-        in
-        Some (with_proc st p (mark regs))
-      else None
-  | Instr.Lock { loc } ->
-      if read_mem st.memory loc = 0 then
-        Some (with_proc { st with memory = Smap.add loc 1 st.memory } p (mark pr.regs))
-      else None
-  | Instr.Fence -> Some (with_proc st p (mark pr.regs))
-
-let successors prog st =
-  let masks = preds prog in
-  let instrs = (Por_static.cached prog).Por_static.instrs in
+(* Successor order: per processor ascending, instruction index
+   ascending. *)
+let successors l k =
+  let s = Bytes.unsafe_of_string k in
+  let preds, labels = static l in
+  let code = Layout.code l in
   let acc = ref [] in
-  for p = Array.length st.procs - 1 downto 0 do
-    let pr = st.procs.(p) in
-    let n = Array.length masks.(p) in
-    for j = n - 1 downto 0 do
-      let not_done = pr.executed land (1 lsl j) = 0 in
-      let ready = masks.(p).(j) land lnot pr.executed = 0 in
-      if not_done && ready then
-        match execute_instr instrs.(p).(j) st p j with
-        | Some st' -> acc := st' :: !acc
+  for p = Array.length code - 1 downto 0 do
+    let ex = Layout.mask l s p in
+    for j = Array.length code.(p) - 1 downto 0 do
+      if ex land (1 lsl j) = 0 && preds.(p).(j) land lnot ex = 0 then
+        match execute l s p ex j code.(p).(j) with
+        | Some b -> acc := (labels.(p).(j), Bytes.unsafe_to_string b) :: !acc
         | None -> ()
     done
   done;
   !acc
 
-let final prog st =
-  let masks = preds prog in
-  let complete =
-    Array.to_list st.procs
-    |> List.mapi (fun p pr ->
-           pr.executed = (1 lsl Array.length masks.(p)) - 1)
-    |> List.for_all Fun.id
-  in
-  if not complete then None
-  else
-    Some
-      (Final.make ~memory:st.memory
-         ~regs:(Array.map (fun pr -> pr.regs) st.procs))
+let rec complete l s code p =
+  p = Array.length code
+  || Layout.mask l s p = (1 lsl Array.length code.(p)) - 1
+     && complete l s code (p + 1)
 
-(* The executed bitmask indexes instructions; automorphisms map thread [p]'s
-   instruction [i] to the image thread's instruction [i], so the mask moves
-   with the processor unchanged. *)
-let shape =
-  { Layout.counters = 0; mask = true; buffer = None; reservations = false }
-
-let canon l st =
-  let b = Layout.create l in
-  Layout.set_memory l b st.memory;
-  Array.iteri
-    (fun p pr ->
-      Layout.set_mask l b p pr.executed;
-      Layout.set_regs l b p pr.regs)
-    st.procs;
-  Layout.key b
+let final l k =
+  let s = Bytes.unsafe_of_string k in
+  if complete l s (Layout.code l) 0 then Some (Layout.final l s) else None
 
 (* --- partial-order reduction oracle -------------------------------------
-
-   Transition labels: every ready instruction executes atomically against
-   memory, so the label is just its location and direction; fences are
-   local (they only set an executed bit).  There is no global structure
-   beyond memory, so no label needs [a_sync].
 
    Ample selection, scanned in successor order; each class's soundness
    leans on the precedence masks: any two same-location or register-
@@ -189,69 +169,40 @@ let canon l st =
    Awaits and locks are never chosen: they block on memory values that
    foreign writes can change. *)
 
-let successors_labeled prog st =
-  let masks = preds prog in
-  let instrs = (Por_static.cached prog).Por_static.instrs in
-  let acc = ref [] in
-  for p = Array.length st.procs - 1 downto 0 do
-    let pr = st.procs.(p) in
-    let n = Array.length masks.(p) in
-    for j = n - 1 downto 0 do
-      let not_done = pr.executed land (1 lsl j) = 0 in
-      let ready = masks.(p).(j) land lnot pr.executed = 0 in
-      if not_done && ready then
-        let instr = instrs.(p).(j) in
-        match execute_instr instr st p j with
-        | Some st' ->
-            let a_loc, a_write =
-              match instr with
-              | Instr.Fence -> ("", false)
-              | Instr.Load { loc; _ } | Instr.Await { loc; _ } -> (loc, false)
-              | Instr.Store { loc; _ } | Instr.Rmw { loc; _ } | Instr.Lock { loc }
-                ->
-                  (loc, true)
-            in
-            acc :=
-              ( {
-                  Machine_sig.a_proc = p;
-                  a_id = j;
-                  a_loc;
-                  a_write;
-                  a_sync = false;
-                },
-                st' )
-              :: !acc
-        | None -> ()
-    done
-  done;
-  !acc
-
-let por prog =
-  let info = Por_static.cached prog in
-  (* No unexecuted instruction of any other processor writes
-     ([write_only]) or touches [loc]. *)
-  let foreign_clear ~write_only st p loc =
-    let ok = ref true in
-    Array.iteri
-      (fun q pr ->
-        if q <> p && !ok then begin
-          let am, wm = Por_static.loc_bitmasks info ~p:q loc in
-          if (if write_only then wm else am) land lnot pr.executed <> 0 then
-            ok := false
-        end)
-      st.procs;
-    !ok
+let por l =
+  let code = Layout.code l in
+  (* Per thread and location byte: the bitmask of the thread's
+     instructions that access it ([acc]) and of those that write it
+     ([wr]). *)
+  let width = Step.lid_width code in
+  let acc = Array.map (fun _ -> Array.make width 0) code in
+  let wr = Array.map (fun _ -> Array.make width 0) code in
+  Array.iteri
+    (fun q ->
+      Array.iteri (fun j (op : Layout.op) ->
+          let bit = 1 lsl j in
+          acc.(q).(op.lid) <- acc.(q).(op.lid) lor bit;
+          if Instr.is_write op.instr then
+            wr.(q).(op.lid) <- wr.(q).(op.lid) lor bit))
+    code;
+  (* No unexecuted instruction of any processor but [p], from [q] on, is
+     in [masks] for [lid]. *)
+  let rec foreign_clear masks s p lid q =
+    q = Layout.nprocs l
+    || (q = p || masks.(q).(lid) land lnot (Layout.mask l s q) = 0)
+       && foreign_clear masks s p lid (q + 1)
   in
-  let ample st succs =
+  let ample k succs =
+    let s = Bytes.unsafe_of_string k in
     List.find_opt
       (fun ((a : Machine_sig.action), _) ->
         if a.a_loc = "" then true
         else
-          match info.Por_static.instrs.(a.a_proc).(a.a_id) with
-          | Instr.Load _ -> foreign_clear ~write_only:true st a.a_proc a.a_loc
-          | Instr.Store _ | Instr.Rmw _ ->
-              foreign_clear ~write_only:false st a.a_proc a.a_loc
+          let op = code.(a.a_proc).(a.a_id) in
+          match op.instr with
+          | Instr.Load _ -> foreign_clear wr s a.a_proc op.lid 0
+          | Instr.Store _ | Instr.Rmw _ -> foreign_clear acc s a.a_proc op.lid 0
           | Instr.Await _ | Instr.Lock _ | Instr.Fence -> false)
       succs
   in
-  Some { Machine_sig.successors_labeled = successors_labeled prog; ample }
+  Some { Machine_sig.ample }

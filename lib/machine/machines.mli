@@ -1,8 +1,10 @@
 (** Registry of abstract hardware machines.
 
     Each machine assigns a program the exhaustive set of outcomes it can
-    produce, computed by memoized search of a nondeterministic operational
-    model. *)
+    produce, computed by a reachability sweep ({!Explore}) of a
+    nondeterministic operational model whose states are packed keys
+    ({!Layout}): each machine is one labeled transition function that
+    copies the parent key and rewrites the slots a step changes. *)
 
 type t
 

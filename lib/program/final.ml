@@ -20,15 +20,24 @@ let reg t proc r =
 
 let bindings_of_map m = Smap.bindings m
 
+(* The order of the binding lists (memory, then the register files), as
+   polymorphic compare would give it, computed by walking the maps: the
+   exploration engines compare outcomes on every final state they add, and
+   building the lists allocated more than the machine steps. *)
 let compare a b =
-  let c =
-    compare (bindings_of_map a.memory) (bindings_of_map b.memory)
-  in
+  let c = Smap.compare Int.compare a.memory b.memory in
   if c <> 0 then c
   else
-    compare
-      (Array.map bindings_of_map a.regs)
-      (Array.map bindings_of_map b.regs)
+    let n = Array.length a.regs and m = Array.length b.regs in
+    if n <> m then Int.compare n m
+    else
+      let rec go i =
+        if i = n then 0
+        else
+          let c = Smap.compare Int.compare a.regs.(i) b.regs.(i) in
+          if c <> 0 then c else go (i + 1)
+      in
+      go 0
 
 let equal a b = compare a b = 0
 

@@ -296,57 +296,65 @@ let spin_delay ctx k =
 
 type spin_kind = Spin_data | Spin_sync | Lock_retry
 
+(* A replayed iteration's trace row and op span, issued at [t] and
+   committed (and globally performed) at [t + cache_hit].  Top-level
+   functions rather than closures over the iteration, so replaying
+   allocates nothing per iteration. *)
+let replay_record ctx proc line ~t ~sync ~writes =
+  let row =
+    Sim_trace.record ctx.trace ~proc ~sync ~reads:true ~writes ~line ~gen:t
+  in
+  let ch = ctx.cfg.Sim_config.cache_hit in
+  Sim_trace.set_commit ctx.trace row (t + ch);
+  Sim_trace.set_gp ctx.trace row (t + ch)
+
+let replay_span ctx proc line ~t ~name ~cause =
+  Obs.span ctx.obs ~cat:"op" ~name ~tid:proc ~ts:t
+    ~dur:ctx.cfg.Sim_config.cache_hit
+    ~loc:(Proto.line_name ctx.proto line)
+    ~cause
+
 (* One skipped iteration's bookkeeping, issued at [t]: exactly what the
    live hit path records, with the clock terms evaluated in closed form
    ([Engine.now] at issue is [t]; the check runs at [t + cache_hit]). *)
 let replay_iter ctx proc line kind ~t =
   let ch = ctx.cfg.Sim_config.cache_hit in
   let st = ctx.stats.(proc) in
-  let record_at ~sync ~reads ~writes =
-    let row =
-      Sim_trace.record ctx.trace ~proc ~sync ~reads ~writes ~line ~gen:t
-    in
-    Sim_trace.set_commit ctx.trace row (t + ch);
-    Sim_trace.set_gp ctx.trace row (t + ch)
-  in
-  let span name cause =
-    Obs.span ctx.obs ~cat:"op" ~name ~tid:proc ~ts:t ~dur:ch
-      ~loc:(Proto.line_name ctx.proto line)
-      ~cause
-  in
   match (kind, ctx.policy) with
   | Spin_data, _ ->
       (* data_read: stall_read grows by the full latency even on a hit;
          the miss residue is zero, so no stall-table row and no cause. *)
-      record_at ~sync:false ~reads:true ~writes:false;
+      replay_record ctx proc line ~t ~sync:false ~writes:false;
       st.stall_read <- st.stall_read + ch;
-      span "R" "";
+      replay_span ctx proc line ~t ~name:"R" ~cause:"";
       st.spin_iters <- st.spin_iters + 1
   | Spin_sync, (Sc | Def1 | Def2_rs) ->
       (* plain sync read, hit: zero stalled cycles under all three. *)
-      record_at ~sync:true ~reads:true ~writes:false;
-      span "Sr" "";
+      replay_record ctx proc line ~t ~sync:true ~writes:false;
+      replay_span ctx proc line ~t ~name:"Sr" ~cause:"";
       st.spin_iters <- st.spin_iters + 1
   | Spin_sync, (Def2 | Def2_noresv) ->
       (* base Def2 treats the sync read as an exclusive acquire: the
          cache-hit commit latency is charged as acquire stall. *)
-      record_at ~sync:true ~reads:true ~writes:false;
+      replay_record ctx proc line ~t ~sync:true ~writes:false;
       st.stall_acquire <- st.stall_acquire + ch;
       stall ctx proc ~cause:Proto.Acquire ~line ~cycles:ch;
-      span "Sr" (if ch > 0 then cause_acquire else "");
+      replay_span ctx proc line ~t ~name:"Sr"
+        ~cause:(if ch > 0 then cause_acquire else "");
       st.spin_iters <- st.spin_iters + 1
   | Lock_retry, (Def2 | Def2_rs | Def2_noresv) ->
-      record_at ~sync:true ~reads:true ~writes:true;
+      replay_record ctx proc line ~t ~sync:true ~writes:true;
       st.stall_acquire <- st.stall_acquire + ch;
       stall ctx proc ~cause:Proto.Acquire ~line ~cycles:ch;
-      span "Srmw" (if ch > 0 then cause_acquire else "");
+      replay_span ctx proc line ~t ~name:"Srmw"
+        ~cause:(if ch > 0 then cause_acquire else "");
       st.lock_retries <- st.lock_retries + 1
   | Lock_retry, (Sc | Def1) ->
       (* both charge the commit-to-continue wait as sync-gp stall. *)
-      record_at ~sync:true ~reads:true ~writes:true;
+      replay_record ctx proc line ~t ~sync:true ~writes:true;
       st.stall_sync_gp <- st.stall_sync_gp + ch;
       stall ctx proc ~cause:Proto.Gp_wait ~line ~cycles:ch;
-      span "Srmw" cause_gp;
+      replay_span ctx proc line ~t ~name:"Srmw" ~cause:cause_gp;
       st.lock_retries <- st.lock_retries + 1
 
 let park_eligible ctx proc line kind =

@@ -362,7 +362,9 @@ let pp_line_state ppf = function
 let pp_dir_state ppf = function
   | Uncached -> Fmt.string ppf "Uncached"
   | Shared s ->
-      Fmt.pf ppf "Shared{%a}" Fmt.(list ~sep:comma int) (Iset.elements s)
+      (* A literal separator, not [Fmt.comma]: its break hint splits the
+         set across lines in a box-less [asprintf]. *)
+      Fmt.pf ppf "Shared{%a}" Fmt.(list ~sep:(any ",") int) (Iset.elements s)
   | Exclusive p -> Fmt.pf ppf "Exclusive P%d" p
 
 let render_event t e =

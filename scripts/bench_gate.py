@@ -39,6 +39,12 @@ as "explore", which is what every pre-kind baseline contained):
                           twin, re-proving the engine-scaling claim on
                           every run.
 
+Explore rows at one domain and sym rows also carry minor_words: gated
+per expanded state like a sim row's per event (more than 25% above the
+baseline row's words per state fails; a baseline row without the field
+is skipped).  It is the exploration engine's per-state allocation, which
+does not depend on the machine's speed.
+
 Additionally, sym rows in the fresh run are validated on their own
 terms: every row's outcomes_equal must be true (the reduction may never
 change the outcome set), and each benchmarked program must show at least
@@ -80,10 +86,11 @@ COUNT_FIELD = {"overhead": "payload", "sim": "events"}
 # sim fields that must match the baseline bit for bit: simulated time and
 # settled behaviour are deterministic, so any drift is a real regression.
 SIM_EXACT_FIELDS = ("total_cycles", "finals_crc", "stalls_crc")
-# Allowed growth of a sim row's minor-heap words per engine event.  The
-# count is deterministic for a given binary, so it gates the simulator's
-# per-event cost without depending on the machine's speed.
-SIM_ALLOC_TOLERANCE = 0.25
+# Allowed growth of a row's minor-heap words per unit of work (engine
+# event for sim rows, expanded state for explore/sym rows).  The count is
+# deterministic for a given binary, so it gates the per-unit cost without
+# depending on the machine's speed.
+ALLOC_TOLERANCE = 0.25
 
 
 def entry_kind(e):
@@ -187,7 +194,8 @@ def check_sim_rows(old, new, shed_floor, failures):
                     f"diverged from the baseline (timing regression or an "
                     f"engine-order bug; if the change is deliberate, "
                     f"refresh the committed baseline)")
-        check_sim_alloc(label, old[key], new[key], failures)
+        check_alloc(label, old[key], new[key], "events", "event",
+                    failures)
     naive = {k: e for k, e in new.items()
              if k[0] == "sim" and k[2].endswith("-naive")}
     for (kind, name, machine, domains), e in sorted(naive.items()):
@@ -211,8 +219,8 @@ def check_sim_rows(old, new, shed_floor, failures):
                   f"{shed_floor:.0f}x)")
 
 
-def check_sim_alloc(label, old, new, failures):
-    """Minor-heap words per event against the baseline row."""
+def check_alloc(label, old, new, count_field, unit, failures):
+    """Minor-heap words per unit of work against the baseline row."""
     if "minor_words" not in old:
         print(f"bench gate: {label}: minor_words skipped (the baseline "
               f"row lacks the field)")
@@ -221,17 +229,16 @@ def check_sim_alloc(label, old, new, failures):
         failures.append(f"{label}: the fresh row lacks an integer "
                         f"minor_words")
         return
-    o = old["minor_words"] / max(old["events"], 1)
-    n = new["minor_words"] / max(new["events"], 1)
-    limit = o * (1.0 + SIM_ALLOC_TOLERANCE)
+    o = old["minor_words"] / max(old[count_field], 1)
+    n = new["minor_words"] / max(new[count_field], 1)
+    limit = o * (1.0 + ALLOC_TOLERANCE)
     if n > limit:
         failures.append(
-            f"{label}: {n:.1f} minor words per event vs {o:.1f} in the "
+            f"{label}: {n:.1f} minor words per {unit} vs {o:.1f} in the "
             f"baseline (+{(n - o) / o * 100:.1f}%, limit "
-            f"+{SIM_ALLOC_TOLERANCE:.0%}) — the simulator's per-event "
-            f"allocation grew")
+            f"+{ALLOC_TOLERANCE:.0%}) — allocation per {unit} grew")
     elif n != o:
-        print(f"bench gate: note: {label}: minor words per event "
+        print(f"bench gate: note: {label}: minor words per {unit} "
               f"{o:.1f} -> {n:.1f} (within tolerance)")
 
 
@@ -315,6 +322,9 @@ def main():
         elif n != o:
             print(f"bench gate: note: {label}: {count_field} {o} -> {n} "
                   f"(within tolerance)")
+        if kind == "sym" or (kind == "explore" and domains == 1):
+            check_alloc(f"{kind} {label}", old[key], new[key],
+                        "states_expanded", "expanded state", failures)
 
     added = sorted(set(new) - set(old))
     if added:

@@ -131,7 +131,36 @@ let test_final_compare () =
   check "equal self" true (Final.equal a a);
   check "differ" false (Final.equal a b);
   let s = Final.Set.of_list [ a; b; a ] in
-  check_int "set dedups" 2 (Final.Set.cardinal s)
+  check_int "set dedups" 2 (Final.Set.cardinal s);
+  (* The order is that of the binding lists under polymorphic compare, so
+     outcome sets print in the same order however [compare] walks them. *)
+  let reference f g =
+    let b m = Exp.Smap.bindings m in
+    compare
+      (b f.Final.memory, Array.map b f.Final.regs)
+      (b g.Final.memory, Array.map b g.Final.regs)
+  in
+  let finals =
+    [
+      a;
+      b;
+      final_of ~mem:[ ("x", 1); ("y", 0) ] ~regs:[ [] ];
+      final_of ~mem:[ ("y", 0) ] ~regs:[ [] ];
+      final_of ~mem:[ ("x", 1) ] ~regs:[ [ ("r0", 0) ] ];
+      final_of ~mem:[ ("x", 1) ] ~regs:[ [ ("r0", -1) ]; [ ("r1", 2) ] ];
+      final_of ~mem:[ ("x", 1) ] ~regs:[ [ ("r0", -1) ]; [ ("r0", 2) ] ];
+      final_of ~mem:[ ("x", 1) ] ~regs:[ []; [] ];
+    ]
+  in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun g ->
+          check_int "same order as the binding lists"
+            (Int.compare (reference f g) 0)
+            (Int.compare (Final.compare f g) 0))
+        finals)
+    finals
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in

@@ -280,29 +280,80 @@ let test_explore_resume_rejects_mismatch () =
   | exception Explore.Resume_rejected _ -> ()
   | _ -> Alcotest.fail "corrupted snapshot accepted"
 
-(* Snapshots taken before keys were packed ("explore3": structural tuple
-   keys) must be refused by kind, before the payload is unmarshalled as
-   the wrong type. *)
+(* Snapshots of older engines must be refused by kind, before the payload
+   is unmarshalled as the wrong type: "explore3" carried structural tuple
+   keys, "explore4" a frontier of machine state records (here def2's
+   record shape: memory, per-processor counters, registers and pending
+   writes, reservations). *)
+type old_proc = {
+  next : int;
+  regs : int Exp.Smap.t;
+  pending : (string * int * int) list;
+  nseq : int;
+}
+
+type old_state = {
+  memory : int Exp.Smap.t;
+  procs : old_proc array;
+  resvs : (string * (int * int) list) list;
+}
+
 let test_explore3_snapshot_rejected () =
   let m = Machines.def2 and prog = prog_of "dekker" in
   let old_key = ([ ("x", 1) ], [| (1, [ ("r0", 0) ], [ ("y", 1, 0) ], 1) |], []) in
-  let snap =
-    Snapshot.frame ~kind:"weakord.explore3/def2" ~meta:"1 state(s) expanded"
-      ~payload:(Marshal.to_string [| (old_key, []) |] [])
+  let record =
+    {
+      memory = Exp.Smap.singleton "x" 1;
+      procs =
+        [|
+          {
+            next = 1;
+            regs = Exp.Smap.empty;
+            pending = [ ("y", 1, 0) ];
+            nseq = 1;
+          };
+        |];
+      resvs = [ ("y", [ (0, 0) ]) ];
+    }
   in
-  match explore_with ~resume:snap m prog with
-  | exception Explore.Resume_rejected msg ->
-      let mentions sub =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length msg
-          && (String.sub msg i n = sub || go (i + 1))
-        in
-        go 0
-      in
-      check "names the snapshot's kind" true (mentions "weakord.explore3/def2");
-      check "names the engine's kind" true (mentions "weakord.explore4/def2")
-  | _ -> Alcotest.fail "explore3 snapshot resumed"
+  let framed kind payload =
+    Snapshot.frame ~kind ~meta:"1 state(s) expanded" ~payload
+  in
+  List.iter
+    (fun (kind, snap) ->
+      match explore_with ~resume:snap m prog with
+      | exception Explore.Resume_rejected msg ->
+          let mentions sub =
+            let n = String.length sub in
+            let rec go i =
+              i + n <= String.length msg
+              && (String.sub msg i n = sub || go (i + 1))
+            in
+            go 0
+          in
+          check ("names the snapshot's kind " ^ kind) true (mentions kind);
+          check "names the engine's kind" true
+            (mentions "weakord.explore5/def2")
+      | _ -> Alcotest.failf "%s snapshot resumed" kind)
+    [
+      ( "weakord.explore3/def2",
+        framed "weakord.explore3/def2"
+          (Marshal.to_string [| (old_key, []) |] []) );
+      ( "weakord.explore4/def2",
+        framed "weakord.explore4/def2"
+          (Marshal.to_string
+             ( "dekker",
+               false,
+               true,
+               [||],
+               1,
+               [ (record, ([] : Machine_sig.action list)) ],
+               Final.Set.empty,
+               1,
+               0,
+               (None : int option) )
+             []) );
+    ]
 
 (* --- explore: graceful degradation ------------------------------------------ *)
 

@@ -26,24 +26,22 @@ module Probe (M : Machine_sig.MACHINE) = struct
      the cap is hit.  The pointwise properties below hold on any prefix;
      the image-closure check needs the full set and is skipped on
      truncation. *)
-  let reachable_keys layout prog cap =
+  let reachable_keys layout cap =
     let seen = H.create 1024 in
     let q = Queue.create () in
-    let add st =
-      let k = M.canon layout st in
+    let add k =
       if not (H.mem seen k) then (
         H.replace seen k ();
-        Queue.push st q)
+        Queue.push k q)
     in
-    add (M.initial prog);
+    add (Layout.initial layout);
     let complete = ref true in
     while not (Queue.is_empty q) do
       if H.length seen > cap then (
         complete := false;
         Queue.clear q)
       else
-        let st = Queue.pop q in
-        List.iter add (M.successors prog st)
+        List.iter (fun (_, k) -> add k) (M.successors layout (Queue.pop q))
     done;
     (seen, !complete)
 
@@ -54,7 +52,7 @@ module Probe (M : Machine_sig.MACHINE) = struct
         M.name;
     let layout = Layout.cached prog M.shape in
     let maps = Sym.compile layout g in
-    let seen, complete = reachable_keys layout prog 60_000 in
+    let seen, complete = reachable_keys layout 60_000 in
     (* Every automorphism maps reachable keys to reachable keys — checked
        only when the probe saw the whole graph (on a prefix the image may
        legitimately land past the cap). *)
@@ -105,11 +103,13 @@ let test_group_orders () =
 
 (* --- packed-key faithfulness --------------------------------------------
 
-   Every machine (and the SC semantics) must pack states into keys that
-   keep exactly what the future depends on: equal keys mean equal
-   outcomes and equal successor-key sets, a written 0 is not an unwritten
-   slot, and compiled automorphisms act on keys the way the group acts on
-   states. *)
+   The SC semantics packs its states into keys that must keep exactly what
+   the future depends on: equal keys mean equal outcomes and equal
+   successor-key sets.  A machine state is its key, so for the machines
+   that part holds by construction; for every one of them a written 0 is
+   not an unwritten slot, and compiled automorphisms commute with the
+   transition function: [successors (permute sigma k) = permute sigma
+   (successors k)], with finals mapped to their images. *)
 
 module type KEYED = sig
   type state
@@ -123,9 +123,14 @@ module type KEYED = sig
 end
 
 module Keyed (M : Machine_sig.MACHINE) = struct
-  include M
+  type state = string
 
+  let name = M.name
   let layout prog = Layout.cached prog M.shape
+  let initial prog = Layout.initial (layout prog)
+  let successors prog k = List.map snd (M.successors (layout prog) k)
+  let final prog k = M.final (layout prog) k
+  let canon _ k = k
 end
 
 module Sc_keyed = struct
@@ -309,6 +314,37 @@ let test_key_range () =
     (raises (fun b -> Layout.set_regs l b 0 (Exp.Smap.singleton "r9" 0)));
   Alcotest.(check bool) "values in range fit" false (raises (mem "x" (-1)))
 
+(* Buffer entries fill from slot 0; performing one moves its value bytes to
+   memory and shifts the younger entries down in place, leaving exactly
+   the key of a buffer that never held it. *)
+let test_key_buffer () =
+  let prog =
+    Prog.make ~name:"b"
+      [ [ Instr.write "x" 1; Instr.write "y" 2; Instr.write "x" 3 ] ]
+  in
+  let l = Layout.cached prog M_def1.shape in
+  let code = Layout.code l in
+  let x = code.(0).(0).Layout.lid and y = code.(0).(1).Layout.lid in
+  let b = Bytes.of_string (Layout.initial l) in
+  List.iter
+    (fun (lid, v) -> ignore (Layout.push l b 0 lid v))
+    [ (x, 1); (y, 2); (x, 3) ];
+  Alcotest.(check int) "three entries" 3 (Layout.buffered l b 0);
+  Alcotest.(check int) "newest x forwards" 3
+    (Layout.get l b (Layout.forward l b 0 x));
+  Layout.drain l b 0 1;
+  let expect = Bytes.of_string (Layout.initial l) in
+  ignore (Layout.push l expect 0 x 1);
+  ignore (Layout.push l expect 0 x 3);
+  Layout.put l expect code.(0).(1).Layout.mem 2;
+  Alcotest.(check string) "drained in place" (Bytes.to_string expect)
+    (Bytes.to_string b);
+  ignore (Layout.push l b 0 y 2);
+  Alcotest.(check bool) "a full buffer refuses a push" true
+    (match Layout.push l b 0 x 4 with
+    | _ -> false
+    | exception Failure _ -> true)
+
 (* --- sym / no-sym differential --------------------------------------- *)
 
 let machines () =
@@ -477,6 +513,7 @@ let suite =
         test_key_faithfulness;
       Alcotest.test_case "packed keys refuse out-of-range values" `Quick
         test_key_range;
+      Alcotest.test_case "buffer drains shift in place" `Quick test_key_buffer;
       Alcotest.test_case "differential on classics" `Quick
         test_differential_classics;
       Alcotest.test_case "differential on generated programs" `Slow
